@@ -36,6 +36,10 @@ from .signals import FUNCTION_NAMES, sample_function, scale_to_snr
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
 
+#: Noise-to-slab scale ratios sigma/tau over which the posterior-mean rule
+#: is checked; outside it the quadrature can miss the posterior entirely.
+ADMISSIBLE_NOISE_RATIO = (0.1, 10.0)
+
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
@@ -200,6 +204,13 @@ def cmd_denoise(args) -> int:
         print(f"tau: {_fmt(hyper.tau)}")
         for j in sorted(hyper.alpha_by_level):
             print(f"alpha[level {j}]: {_fmt(hyper.alpha_by_level[j])}")
+        ratio = result.sigma_hat / hyper.tau
+        lo, hi = ADMISSIBLE_NOISE_RATIO
+        if not lo <= ratio <= hi:
+            print(f"warning: sigma_hat/tau = {_fmt(ratio)} lies outside the "
+                  f"admissible range [{_fmt(lo)}, {_fmt(hi)}]; the estimated "
+                  "coefficients may be wrong, even in sign (rescale the series)",
+                  file=sys.stderr)
     timer.finish(Path(f"{prefix}_manifest.json"))
     return 0
 

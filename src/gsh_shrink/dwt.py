@@ -9,7 +9,8 @@ downsampled on even indices,
 
 with the quadrature-mirror highpass g[m] = (-1)^m h[L-1-m].  Under periodic
 boundary handling this realises an exactly orthogonal matrix, so energy is
-preserved and the inverse is the transpose.
+preserved and the inverse is the transpose, applied in polyphase form: the
+even and odd output samples each gather L/2 taps from both coarse vectors.
 """
 from __future__ import annotations
 
@@ -147,14 +148,15 @@ def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.n
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
                     filt: WaveletFilter) -> np.ndarray:
-    n = 2 * approx.size
-    taps = len(filt.lowpass)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
+    # polyphase transpose of the analysis step: with half = n/2,
+    # x[2m + r] = sum_l a[(m - l) mod half] h[2l + r] + d[(m - l) mod half] g[2l + r]
+    half = approx.size
+    idx = (np.arange(half)[:, None] - np.arange(len(filt.lowpass) // 2)[None, :]) % half
     h = np.asarray(filt.lowpass)
     g = np.asarray(filt.highpass)
-    x = np.zeros(n)
-    np.add.at(x, idx, approx[:, None] * h[None, :] + detail[:, None] * g[None, :])
-    return x
+    x = approx[idx] @ np.stack([h[0::2], h[1::2]], axis=1) \
+        + detail[idx] @ np.stack([g[0::2], g[1::2]], axis=1)
+    return x.ravel()
 
 
 def forward(signal, filt: WaveletFilter, primary_level: int) -> WaveletDecomposition:

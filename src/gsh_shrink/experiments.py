@@ -23,7 +23,7 @@ from .elicitation import (ElicitationConfig, ElicitedHyperparams, elicit_all,
                           estimate_sigma)
 from .gsh_prior import GshParams, ShrinkagePrior
 from .numerics import DegenerateInputError, PIPELINE_QUAD, QuadratureSpec, SeededRng
-from .shrinkage import ShrinkageRule, shrink_vector
+from .shrinkage import ShrinkageRule, shrink_array
 from .signals import FUNCTION_NAMES, make_noisy_sample
 
 GSH = "gsh"
@@ -182,17 +182,8 @@ def denoise_detailed(y, method: str, cfg: ExperimentConfig | None = None) -> Den
                 estimated = {j: decomp.details[j].copy() for j in levels}
             else:
                 rules = _gsh_rules(hyper, cfg.quad)
-                flat = np.concatenate([decomp.details[j] for j in levels])
-                index = np.concatenate(
-                    [np.full(decomp.details[j].size, j, dtype=int) for j in levels]
-                )
-                shrunk = shrink_vector(flat, rules, index)
-                estimated = {}
-                pos = 0
-                for j in levels:
-                    size = decomp.details[j].size
-                    estimated[j] = shrunk[pos:pos + size]
-                    pos += size
+                estimated = {j: shrink_array(decomp.details[j], rules[j])
+                             for j in levels}
     elif method in (UNIVERSAL_HARD, UNIVERSAL_SOFT):
         mode = "hard" if method == UNIVERSAL_HARD else "soft"
         estimated = {

@@ -89,6 +89,38 @@ class TestDenoise:
             assert (Path(f"{out1}{suffix}").read_bytes()
                     == Path(f"{out2}{suffix}").read_bytes())
 
+    def test_prices_in_index_points_warn(self, tmp_path, capsys):
+        # pinned defect: a Student-t(4) walk with 2% daily sd from 100 000
+        # puts sigma_hat near 2.2e3 against tau = 1, far outside the
+        # admissible sigma/tau range; the rule then flips the sign of many
+        # coefficients and the command still succeeds, so it must say so
+        steps = SeededRng(2).generator().standard_t(4, size=4936) * 0.02 / math.sqrt(2)
+        prices = 1e5 * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+        path = tmp_path / "index.csv"
+        write_series(path, prices)
+        out = tmp_path / "idx"
+        with np.errstate(over="ignore"):
+            code = main(["denoise", str(path), "--pad", "symmetric",
+                         "--out-prefix", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        sigma_hat = float(captured.out.splitlines()[0].split(":")[1])
+        assert 1e3 < sigma_hat < 1e4
+        _, cols = read_csv(f"{out}_coefficients.csv")
+        flips = np.sign(cols["empirical"].astype(float)) \
+            * np.sign(cols["estimated"].astype(float)) < 0
+        assert np.count_nonzero(flips) > 0
+        assert "warning: sigma_hat/tau" in captured.err
+        assert "outside the admissible range [0.1, 10.0]" in captured.err
+        assert Path(f"{out}_denoised.csv").exists()
+
+    def test_admissible_noise_ratio_does_not_warn(self, tmp_path, capsys,
+                                                 heavisine_series):
+        path, _, _ = heavisine_series
+        assert main(["denoise", str(path),
+                     "--out-prefix", str(tmp_path / "q")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_non_dyadic_length_rejected(self, tmp_path, capsys):
         path = tmp_path / "odd.csv"
         write_series(path, np.sin(np.arange(500) / 10))

@@ -127,6 +127,28 @@ class TestInverse:
             {j: np.zeros_like(d) for j, d in decomp.details.items()})
         np.testing.assert_allclose(inverse(cleared), x, atol=1e-10)
 
+    @pytest.mark.parametrize("n_moments", range(1, 11))
+    @pytest.mark.parametrize("primary", [0, 2])
+    def test_matches_scatter_add_reference(self, n_moments, primary):
+        # the transpose of the analysis step written as a scatter-add; at
+        # J0 = 0 every filter but Haar is longer than the coarsest levels,
+        # so the same output sample receives several taps of one coefficient
+        filt = daubechies_filter(n_moments)
+        h, g = np.asarray(filt.lowpass), np.asarray(filt.highpass)
+        rng = np.random.default_rng(n_moments)
+        decomp = forward(rng.normal(size=256), filt, primary)
+        decomp = decomp.with_details(
+            {j: rng.normal(size=d.size) for j, d in decomp.details.items()})
+        ref = decomp.scaling
+        for j in decomp.levels:
+            n, detail = 2 * ref.size, decomp.details[j]
+            idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
+            x = np.zeros(n)
+            np.add.at(x, idx, ref[:, None] * h[None, :] + detail[:, None] * g[None, :])
+            ref = x
+        got = inverse(decomp)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_inconsistent_sizes_rejected(self):
         decomp = forward(np.zeros(64), daubechies_filter(2), 2)
         bad = decomp.with_details({**decomp.details, 3: np.zeros(5)})

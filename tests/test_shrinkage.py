@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_posterior_mean
-from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior
-from gsh_shrink.numerics import DENSE_QUAD, QuadratureSpec, TRAPEZOID_ORACLE
+from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
+from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
+                                 TRAPEZOID_ORACLE, gaussian_quad_nodes)
 from gsh_shrink.shrinkage import (ShrinkageRule, shrink, shrink_array,
                                   shrink_vector)
 
@@ -153,6 +156,75 @@ class TestShapeProperties:
         np.testing.assert_allclose(shrink_array(grid, make_rule(t=t)),
                                    shrink_array(grid, make_rule(t=t, quad=dense)),
                                    atol=1e-8)
+
+
+def cosh_form_shrink(d, rule):
+    """Reference posterior mean: the slab weights through np.cosh, summed
+    node by node over blocks of up to 4e6 elements, with the same log-space
+    fallback beyond |z| = 600 as the kernel."""
+    d = np.asarray(d, dtype=float)
+    alpha = rule.prior.alpha
+    u, v = gaussian_quad_nodes(rule.quad)
+    sigma, p = rule.sigma, rule.prior.gsh
+    flat = d.ravel()
+    out = np.empty_like(flat)
+    block = max(1, 4_000_000 // u.size)
+    for start in range(0, flat.size, block):
+        dj = flat[start:start + block]
+        arg = dj[:, None] + sigma * u[None, :]
+        z_reach = p.c2 * (np.abs(dj).max() + sigma * np.abs(u).max()) / p.tau
+        log_point = (np.log(alpha) - np.log(sigma) - 0.5 * (dj / sigma) ** 2
+                     - 0.5 * np.log(2.0 * np.pi)) if alpha > 0.0 else -np.inf
+        if z_reach < 600.0:
+            gv = (p.c1 / p.tau) / (2.0 * np.cosh(p.c2 / p.tau * arg)
+                                   + 2.0 * p.a) * v[None, :]
+            shift = np.zeros((dj.size, 1))
+        else:
+            s = gsh_log_density(arg, p) + np.log(v)[None, :]
+            shift = s.max(axis=1, keepdims=True)
+            gv = np.exp(s - shift)
+        point = np.exp(log_point - shift[:, 0])
+        out[start:start + block] = (1.0 - alpha) * (gv * arg).sum(axis=1) \
+            / (point + (1.0 - alpha) * gv.sum(axis=1))
+    out[flat == 0.0] = 0.0
+    return out.reshape(d.shape)
+
+
+class TestCoshFormReference:
+    """The factorised kernel against the cosh-form sum it replaced.
+
+    The tolerance is fixed from the arithmetic, not from a measurement: at
+    the t clamp, 2 cosh(z) + 2a cancels down to 2 + 2 cos(t) ~ 1e-6, which
+    magnifies rounding by ~2e6, and ~10 ulp of that is 1e-8 * sigma.
+    """
+
+    # 37 x 41 = 1517 coefficients: not a multiple of any quadrature's block
+    # rows (127, 32, 1024), |d| up to 100 sigma with d = 0 at the centre,
+    # and two-dimensional like the d matrix of rule_moments
+    D_UNIT = np.sinh(np.linspace(-np.arcsinh(100.0), np.arcsinh(100.0),
+                                 37 * 41)).reshape(37, 41)
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
+                             ids=["pipeline", "dense", "gh64"])
+    @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 0.0, 3.0, 10.0, 50.0])
+    def test_matches_cosh_form(self, t, quad):
+        assert self.D_UNIT.flat[self.D_UNIT.size // 2] == 0.0
+        sigma = 1.5
+        for ratio in (0.1, 1.0, 10.0):
+            for alpha in (0.0, 0.9):
+                rule = make_rule(alpha=alpha, tau=sigma / ratio, t=t,
+                                 sigma=sigma, quad=quad)
+                d = sigma * self.D_UNIT
+                with warnings.catch_warnings(record=True) as ref_warnings:
+                    warnings.simplefilter("always")
+                    ref = cosh_form_shrink(d, rule)
+                # no new warnings: where the reference is silent, so is the kernel
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore" if ref_warnings else "error")
+                    got = shrink_array(d, rule)
+                assert got.shape == d.shape
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * sigma,
+                                           err_msg=f"sigma/tau={ratio} alpha={alpha}")
 
 
 class TestShrinkVector:
