@@ -10,7 +10,8 @@ from .experiments import (AmseRecord, ExperimentConfig, denoise,
                           denoise_detailed, mse, run_experiment,
                           sure_threshold, universal_threshold)
 from .gsh_prior import (GshParams, ShrinkagePrior, gsh_cdf, gsh_constants,
-                        gsh_density, gsh_kurtosis, gsh_log_density, gsh_sample)
+                        gsh_density, gsh_kurtosis, gsh_log_density, gsh_quantile,
+                        gsh_sample)
 from .numerics import (DegenerateInputError, NumericalDomainError,
                        QuadratureSpec, SeededRng, expect_gaussian,
                        gauss_hermite_nodes, sample_normal)
@@ -29,7 +30,8 @@ __all__ = [
     "bayes_risk", "daubechies_filter", "denoise", "denoise_detailed",
     "elicit_all", "elicit_t", "estimate_sigma", "evaluate", "expect_gaussian",
     "forward", "gauss_hermite_nodes", "gsh_cdf", "gsh_constants",
-    "gsh_density", "gsh_kurtosis", "gsh_log_density", "gsh_sample", "inverse",
+    "gsh_density", "gsh_kurtosis", "gsh_log_density", "gsh_quantile",
+    "gsh_sample", "inverse",
     "make_noisy_sample", "mse", "risk_curve", "rule_moments", "run_experiment",
     "sample_function", "sample_kurtosis", "sample_normal", "scale_to_snr",
     "shrink", "shrink_array", "shrink_vector", "sure_threshold",

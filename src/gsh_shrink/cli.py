@@ -52,12 +52,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV rows, each cell as ``_fmt`` gives it.
+
+    Arrays go through ``.tolist()``: ``str`` of the Python float it yields is
+    the round-trip repr, so they skip ``_fmt`` per cell.  No cell holds a
+    comma, quote or newline, so none needs quoting.
+    """
+    cells = [col.tolist() if isinstance(col, np.ndarray) else [_fmt(v) for v in col]
+             for col in columns]
+    line = ",".join(["{}"] * len(cells)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map(line.format, *cells))
 
 
 @dataclass
@@ -186,16 +193,17 @@ def cmd_denoise(args) -> int:
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     denoised = timer.add("denoised", Path(f"{prefix}_denoised.csv"))
-    _write_csv(denoised, ["index", "y", "f_hat"],
-               ((i, series[i], f_hat[i]) for i in range(n)))
+    _write_csv(denoised, ["index", "y", "f_hat"], (np.arange(n), series, f_hat))
 
     coeff_path = timer.add("coefficients", Path(f"{prefix}_coefficients.csv"))
-    rows = []
-    for j in result.decomposition.levels:
-        emp = result.decomposition.details[j]
-        est = result.estimated.details[j]
-        rows.extend((j, k, emp[k], est[k]) for k in range(emp.size))
-    _write_csv(coeff_path, ["level", "position", "empirical", "estimated"], rows)
+    levels = result.decomposition.levels
+    sizes = [result.decomposition.details[j].size for j in levels]
+    _write_csv(coeff_path, ["level", "position", "empirical", "estimated"], (
+        np.repeat(levels, sizes),
+        np.concatenate([np.arange(size) for size in sizes]),
+        np.concatenate([result.decomposition.details[j] for j in levels]),
+        np.concatenate([result.estimated.details[j] for j in levels]),
+    ))
 
     print(f"sigma_hat: {_fmt(result.sigma_hat)}")
     if result.hyperparams is not None:
@@ -297,8 +305,9 @@ def cmd_simulate(args) -> int:
     _write_csv(
         amse_path,
         ["function", "n", "snr", "method", "amse", "std_error", "M", "seed"],
-        ((r.function, r.n, r.snr, r.method, r.amse, r.amse_std_error,
-          r.replications, r.base_seed) for r in records),
+        ([getattr(r, field) for r in records]
+         for field in ("function", "n", "snr", "method", "amse", "amse_std_error",
+                       "replications", "base_seed")),
     )
     table_path = timer.add("table", Path(f"{prefix}_table.txt"))
     table_path.write_text(format_amse_table(records, cfg))
@@ -354,11 +363,10 @@ def cmd_risk(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     curve_path = timer.add("risk_curve", Path(f"{prefix}_risk.csv"))
     _write_csv(curve_path, ["theta", "bias_sq", "variance", "risk"],
-               zip(curve.theta_grid, curve.squared_bias, curve.variance,
-                   curve.classical_risk))
+               (curve.theta_grid, curve.squared_bias, curve.variance,
+                curve.classical_risk))
     rule_path = timer.add("rule", Path(f"{prefix}_rule.csv"))
-    _write_csv(rule_path, ["d", "delta"],
-               zip(grid, shrink_array(grid, rule)))
+    _write_csv(rule_path, ["d", "delta"], (grid, shrink_array(grid, rule)))
 
     quad = bayes_risk(rule, QUADRATURE)
     print(f"bayes_risk_quadrature: {_fmt(quad.value)}")
@@ -391,7 +399,7 @@ def cmd_prior(args) -> int:
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     dens_path = timer.add("density", Path(f"{prefix}_density.csv"))
-    _write_csv(dens_path, ["theta", "density"], zip(theta, dens))
+    _write_csv(dens_path, ["theta", "density"], (theta, dens))
     print(f"kurtosis: {_fmt(gsh_kurtosis(args.t))}")
     timer.finish(Path(f"{prefix}_manifest.json"))
     return 0
@@ -415,7 +423,7 @@ def cmd_signal(args) -> int:
     prefix = Path(args.out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     sig_path = timer.add("signal", Path(f"{prefix}_signal.csv"))
-    _write_csv(sig_path, ["x", "f"], zip(x, f))
+    _write_csv(sig_path, ["x", "f"], (x, f))
     timer.finish(Path(f"{prefix}_manifest.json"))
     return 0
 

@@ -9,8 +9,10 @@ downsampled on even indices,
 
 with the quadrature-mirror highpass g[m] = (-1)^m h[L-1-m].  Under periodic
 boundary handling this realises an exactly orthogonal matrix, so energy is
-preserved and the inverse is the transpose, applied in polyphase form: the
-even and odd output samples each gather L/2 taps from both coarse vectors.
+preserved and the inverse is the transpose.  Both directions run in
+polyphase form: forward, the even and odd input samples each feed L/2 taps
+of both outputs; inverse, the even and odd output samples each gather L/2
+taps from both coarse vectors.
 """
 from __future__ import annotations
 
@@ -139,11 +141,14 @@ def _dyadic_log(n: int) -> int:
 
 
 def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
-    n = x.size
-    taps = len(filt.lowpass)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(taps)[None, :]) % n
-    windows = x[idx]
-    return windows @ np.asarray(filt.lowpass), windows @ np.asarray(filt.highpass)
+    # polyphase: with half = n/2, x[(2k + 2l + r) mod n] = x[r::2][(k + l) mod half],
+    # so a[k] = sum_l x[0::2][(k + l) mod half] h[2l] + x[1::2][(k + l) mod half] h[2l + 1]
+    half = x.size // 2
+    idx = (np.arange(half)[:, None] + np.arange(len(filt.lowpass) // 2)[None, :]) % half
+    h = np.asarray(filt.lowpass)
+    g = np.asarray(filt.highpass)
+    even, odd = x[0::2][idx], x[1::2][idx]
+    return even @ h[0::2] + odd @ h[1::2], even @ g[0::2] + odd @ g[1::2]
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray,

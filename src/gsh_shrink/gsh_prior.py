@@ -12,14 +12,26 @@ with, for -pi < t < 0:
     a = cos(t),  c2 = sqrt((pi^2 - t^2)/3),  c1 = (sin(t)/t) * c2
 and for t > 0:
     a = cosh(t), c2 = sqrt((pi^2 + t^2)/3),  c1 = (sinh(t)/t) * c2.
+
+The CDF integrates in closed form.  For theta <= 0, with
+w = exp(c2*theta/tau) in (0, 1]:
+
+    t < 0:  F = atan2(w sin|t|, 1 + w cos t) / |t|
+    t = 0:  F = w / (1 + w)
+    t > 0:  F = log1p(2 w sinh(t) / (1 + w e^-t)) / (2t)
+
+and F(theta) = 1 - F(-theta) above zero.  Solving F = s in (0, 1/2] for w
+gives the quantile, theta = (tau/c2) log w:
+
+    t < 0:  w = sin(phi) / sin(|t| - phi),  phi = s|t|
+    t = 0:  w = s / (1 - s)
+    t > 0:  w = expm1(2ts) e^-t / -expm1(2t(s - 1))
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .numerics import SeededRng
 
@@ -27,12 +39,8 @@ from .numerics import SeededRng
 #: formulas hit 0/0 in sin(t)/t there.
 T_LOGISTIC_EPS = 1e-6
 
-#: Half-range of the numeric CDF grid, in units of tau.
-_CDF_HALF_RANGE = 60.0
-#: Grid points over the full range |theta| <= 60*tau.
-_CDF_GRID_POINTS = 4097
-#: Abscissa tolerance of the inverse-CDF bisection.
-_QUANTILE_TOL = 1e-12
+#: Floor of the tail mass in the quantile: q = 0 and q = 1 stay finite.
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 def gsh_constants(t: float) -> tuple[float, float, float]:
@@ -122,94 +130,44 @@ def gsh_kurtosis(t: float) -> float:
     return float((21.0 * pi2 + 9.0 * t * t) / (5.0 * pi2 + 5.0 * t * t))
 
 
-class _CdfTable:
-    """Numeric half-line CDF on a monotone grid with analytic exponential tails.
-
-    The half-mass accumulated on [0, 60*tau] plus the analytic tail beyond
-    is normalised to exactly 1/2, so F(0) = 1/2 and F(theta) + F(-theta) = 1
-    by construction.
-    """
-
-    def __init__(self, p: GshParams):
-        self.p = p
-        self.hi = _CDF_HALF_RANGE * p.tau
-        half_points = (_CDF_GRID_POINTS + 1) // 2
-        x = np.linspace(0.0, self.hi, half_points)
-        dens = np.exp(gsh_log_density(x, p))
-        # shape-preserving cubic fit of the density; its antiderivative is
-        # a monotone piecewise cubic accumulation of the grid mass
-        self._cum = PchipInterpolator(x, dens).antiderivative()
-        grid_total = float(self._cum(self.hi))
-        # leading-order tail mass: integral of (c1/tau) e^{-c2 theta/tau}
-        tail_hi = (p.c1 / p.c2) * np.exp(-p.c2 * self.hi / p.tau)
-        self.scale = 0.5 / (grid_total + tail_hi)
-        self.grid_mass = grid_total * self.scale
-
-    def _interp(self, y):
-        return self._cum(y) * self.scale
-
-    def half_mass(self, y: np.ndarray) -> np.ndarray:
-        """Mass of [0, y] for y >= 0."""
-        y = np.asarray(y, dtype=float)
-        inside = np.minimum(y, self.hi)
-        out = self._interp(inside)
-        tail = y > self.hi
-        if np.any(tail):
-            p = self.p
-            out = np.where(
-                tail,
-                0.5 - self.scale * (p.c1 / p.c2) * np.exp(-p.c2 * y / p.tau),
-                out,
-            )
-        return out
-
-    def quantile_half(self, q: np.ndarray) -> np.ndarray:
-        """Inverse of half_mass for q in [0, 1/2): bisection to 1e-12."""
-        # a uniform draw of exactly 0 maps to q = 1/2; cap just below so
-        # the analytic tail inverse stays finite
-        q = np.minimum(np.asarray(q, dtype=float), np.nextafter(0.5, 0.0))
-        out = np.empty_like(q)
-        in_tail = q > self.grid_mass
-        if np.any(in_tail):
-            p = self.p
-            qt = q[in_tail]
-            out[in_tail] = (p.tau / p.c2) * np.log(
-                self.scale * p.c1 / (p.c2 * (0.5 - qt))
-            )
-        body = ~in_tail
-        if np.any(body):
-            qb = q[body]
-            lo = np.zeros_like(qb)
-            hi = np.full_like(qb, self.hi)
-            while np.max(hi - lo) > _QUANTILE_TOL:
-                mid = 0.5 * (lo + hi)
-                below = self._interp(mid) < qb
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            out[body] = 0.5 * (lo + hi)
-        return out
+def _lower_mass(w, t: float):
+    """F(theta) for theta <= 0, in terms of w = exp(-c2 |theta| / tau) in (0, 1]."""
+    if abs(t) < T_LOGISTIC_EPS:
+        return w / (1.0 + w)
+    if t < 0:
+        return np.arctan2(w * np.sin(-t), 1.0 + w * np.cos(t)) / -t
+    return np.log1p(2.0 * w * np.sinh(t) / (1.0 + w * np.exp(-t))) / (2.0 * t)
 
 
-@functools.lru_cache(maxsize=128)
-def _cdf_table(tau: float, t: float) -> _CdfTable:
-    return _CdfTable(GshParams.make(tau, t))
+def _lower_log_w(s, t: float):
+    """log w at which _lower_mass equals s in (0, 1/2], kept in logs: w itself underflows."""
+    if abs(t) < T_LOGISTIC_EPS:
+        return np.log(s) - np.log1p(-s)
+    if t < 0:
+        phi = -t * s
+        return np.log(np.sin(phi)) - np.log(np.sin(-t - phi))
+    return (np.log(np.expm1(2.0 * t * s)) - t
+            - np.log(-np.expm1(2.0 * t * (s - 1.0))))
 
 
 def gsh_cdf(theta, p: GshParams):
-    """F(theta) on a monotone grid; F(0) = 1/2 exactly by symmetry."""
-    table = _cdf_table(p.tau, p.t)
+    """F(theta) in closed form; F(0) = 1/2 exactly."""
     th = np.asarray(theta, dtype=float)
-    out = 0.5 + np.sign(th) * table.half_mass(np.abs(th))
+    lower = _lower_mass(np.exp(-p.c2 * np.abs(th) / p.tau), p.t)
+    out = np.where(th == 0.0, 0.5, np.where(th > 0.0, 1.0 - lower, lower))
+    return out if out.ndim else float(out)
+
+
+def gsh_quantile(q, p: GshParams):
+    """Inverse of gsh_cdf on [0, 1]; Q(1/2) = 0 exactly, Q(0) and Q(1) finite."""
+    q = np.asarray(q, dtype=float)
+    s = np.maximum(np.minimum(q, 1.0 - q), _SMALLEST_NORMAL)
+    out = np.sign(q - 0.5) * (p.tau / p.c2) * np.abs(_lower_log_w(s, p.t))
     return out if out.ndim else float(out)
 
 
 def gsh_sample(rng: SeededRng, p: GshParams, count: int) -> np.ndarray:
-    """i.i.d. GSH draws by numeric inverse CDF; deterministic given the seed."""
+    """i.i.d. GSH draws by inverse CDF of uniforms; deterministic given the seed."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if count == 0:
-        return np.zeros(0)
-    table = _cdf_table(p.tau, p.t)
-    u = rng.generator().random(count)
-    v = u - 0.5
-    return np.sign(v) * table.quantile_half(np.abs(v))
+    return gsh_quantile(rng.generator().random(count), p)

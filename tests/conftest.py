@@ -100,3 +100,56 @@ def oracle_gsh_integral(fn, tau, t, half_range=60.0, points=200001):
     p = GshParams.make(tau, t)
     theta = np.linspace(-half_range * tau, half_range * tau, points)
     return np.trapezoid(fn(theta) * gsh_density(theta, p), theta)
+
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+
+
+def oracle_gsh_cdf(theta, tau, t):
+    """Independent reference for the GSH CDF by graded Gauss-Legendre panels.
+
+    F(theta) = 1/2 + sign(theta) * int_0^|theta| g, with g written out here
+    from the density formula (no code of gsh_shrink).  The 20-node panels are
+    at most tau wide and at most half as wide as the distance from their inner
+    end to the nearest complex pole of g: for t < 0 the poles sit
+    rho = (pi - |t|) tau / c2 above theta = 0, so the panels narrow to ~rho/2
+    there and widen geometrically away from it; for t >= 0 every point is at
+    least pi tau / c2 from a pole.  The partial panel that ends at |theta|
+    gets its own rule.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if t == 0.0:
+        one_plus_a, c2 = 2.0, math.pi / math.sqrt(3.0)
+        c1 = c2
+    elif t < 0.0:
+        # 1 + cos t = 2 cos^2(t/2) keeps its digits as t -> -pi
+        one_plus_a = 2.0 * math.cos(t / 2.0) ** 2
+        c2 = math.sqrt((math.pi - t) * (math.pi + t) / 3.0)
+        c1 = math.sin(t) / t * c2
+    else:
+        one_plus_a = 1.0 + math.cosh(t)
+        c2 = math.sqrt((math.pi**2 + t * t) / 3.0)
+        c1 = math.sinh(t) / t * c2
+    rho = (math.pi - abs(min(t, 0.0))) * tau / c2
+
+    def density(x):
+        # g = (c1/tau) e^{-|z|} / ((1 - e^{-|z|})^2 + 2 (1 + a) e^{-|z|})
+        e = np.exp(-c2 * np.abs(x) / tau)
+        return (c1 / tau) * e / (np.expm1(-c2 * np.abs(x) / tau) ** 2
+                                 + 2.0 * one_plus_a * e)
+
+    def panels(lo, hi):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        return half * (density(mid[:, None] + half[:, None] * _GL_X) @ _GL_W)
+
+    reach = float(np.max(np.abs(theta), initial=0.0))
+    edges = [0.0]
+    while edges[-1] < reach:
+        dist = math.hypot(edges[-1], rho) if t < 0.0 else rho
+        edges.append(edges[-1] + min(tau, 0.5 * dist))
+    edges = np.asarray(edges)
+    cum = np.concatenate([[0.0], np.cumsum(panels(edges[:-1], edges[1:]))])
+    mag = np.abs(theta).ravel()
+    k = np.searchsorted(edges, mag, side="right") - 1
+    half_mass = (cum[k] + panels(edges[k], mag)).reshape(theta.shape)
+    return 0.5 + np.sign(theta) * half_mass

@@ -1,14 +1,18 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gsh_shrink.cli import main
+import gsh_shrink
+from gsh_shrink.cli import _experiment_config, _fmt, _write_csv, build_parser, main
+from gsh_shrink.experiments import denoise_detailed
 from gsh_shrink.numerics import SeededRng, sample_normal
-from gsh_shrink.signals import sample_function, scale_to_snr
+from gsh_shrink.signals import FUNCTION_NAMES, sample_function, scale_to_snr
 
 
 def read_csv(path):
@@ -307,3 +311,60 @@ class TestSignal:
     def test_bad_n_exits_2(self, tmp_path):
         assert main(["signal", "--function", "bumps", "--n", "500",
                      "--out-prefix", str(tmp_path / "bad")]) == 2
+
+
+def write_csv_with_csv_module(path, header, rows):
+    """The writer the CLI used before: csv.writer over per-cell _fmt."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+class TestCsvOutput:
+    def test_columns_match_csv_module_bytes(self, tmp_path):
+        floats = np.array([-0.0, 0.0, 1.0, -2.5, 0.1, 1e16, 1.2345678901234567e17,
+                           1e-5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                           -3.0e-300, 123456789.123, math.pi, float("inf"), float("nan")])
+        ints = np.arange(-3, floats.size - 3)
+        words = ["gsh", "universal_hard"] * (floats.size // 2)
+        mixed = [3, 7.5, np.float64(0.1), np.int64(4)] * (floats.size // 4)
+        single = np.geomspace(1e-40, 3e38, floats.size, dtype=np.float32)
+        columns = (ints, floats, words, mixed, single)
+        header = ["i", "x", "word", "mixed", "single"]
+        _write_csv(tmp_path / "new.csv", header, columns)
+        write_csv_with_csv_module(tmp_path / "old.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_denoise_files_match_csv_module_bytes(self, tmp_path, heavisine_series):
+        path, _, y = heavisine_series
+        out = tmp_path / "run"
+        argv = ["denoise", str(path), "--out-prefix", str(out)]
+        assert main(argv) == 0
+        cfg = _experiment_config(build_parser().parse_args(argv),
+                                 functions=FUNCTION_NAMES, sizes=(y.size,),
+                                 snrs=(3.0,), methods=("gsh",), replications=1)
+        result = denoise_detailed(y, "gsh", cfg)
+        write_csv_with_csv_module(
+            tmp_path / "denoised.csv", ["index", "y", "f_hat"],
+            ((i, y[i], result.f_hat[i]) for i in range(y.size)))
+        rows = []
+        for j in result.decomposition.levels:
+            emp, est = result.decomposition.details[j], result.estimated.details[j]
+            rows.extend((j, k, emp[k], est[k]) for k in range(emp.size))
+        write_csv_with_csv_module(tmp_path / "coefficients.csv",
+                                  ["level", "position", "empirical", "estimated"], rows)
+        for name in ("denoised", "coefficients"):
+            assert (Path(f"{out}_{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}.csv").read_bytes())
+
+
+def test_import_loads_no_scipy():
+    # importing scipy.interpolate alone once took most of the start-up time
+    code = ("import sys, gsh_shrink, gsh_shrink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(gsh_shrink.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_gsh_cdf
 from gsh_shrink.gsh_prior import (GshParams, ShrinkagePrior, gsh_cdf,
                                   gsh_constants, gsh_density, gsh_kurtosis,
-                                  gsh_log_density, gsh_sample)
+                                  gsh_log_density, gsh_quantile, gsh_sample)
 from gsh_shrink.numerics import SeededRng
 
 T_GRID = (-3.0, -1.0, 0.1, 1.0, 3.0, 10.0)
 TAU_GRID = (0.5, 1.0, 2.0)
+#: The admissible shape range (-pi, 50] with its clamp, both sides of the
+#: logistic switch and the elicitation's upper clamp.
+T_CLOSED_FORM = (-math.pi + 1e-3, -3.0, -1.5, -1e-7, 0.0, 1e-7, 0.5, 3.0,
+                 10.0, 50.0)
 
 
 def normalization_integral(tau, t, points=200001):
@@ -170,6 +175,45 @@ class TestCdf:
             assert gsh_cdf(x, p) == pytest.approx(ref, abs=1e-7)
 
 
+class TestClosedForm:
+    @pytest.mark.parametrize("t", T_CLOSED_FORM)
+    @pytest.mark.parametrize("tau", TAU_GRID)
+    def test_cdf_matches_oracle(self, t, tau):
+        p = GshParams.make(tau, t)
+        theta = tau * np.concatenate([np.linspace(-60.0, 60.0, 481),
+                                      np.linspace(-1.0, 1.0, 201),
+                                      [-1e-9, 1e-9, -1e-4, 1e-4]])
+        err = np.abs(gsh_cdf(theta, p) - oracle_gsh_cdf(theta, tau, t))
+        assert np.max(err) <= 1e-12
+
+    @pytest.mark.parametrize("t", T_CLOSED_FORM)
+    @pytest.mark.parametrize("tau", TAU_GRID)
+    def test_quantile_round_trip(self, t, tau):
+        p = GshParams.make(tau, t)
+        tail = 2.0 ** -np.arange(1, 54)
+        q = np.concatenate([tail, 1.0 - tail,
+                            np.linspace(2.0**-53, 1.0 - 2.0**-53, 2001)])
+        back = gsh_cdf(gsh_quantile(q, p), p)
+        assert np.max(np.abs(back - q)) <= 1e-12
+        # below the median the inverse also holds relative to the mass
+        lower = q <= 0.5
+        assert np.max(np.abs(back[lower] - q[lower]) / q[lower]) <= 1e-12
+
+    @pytest.mark.parametrize("t", T_CLOSED_FORM)
+    def test_quantile_center_and_order(self, t):
+        p = GshParams.make(1.0, t)
+        assert gsh_quantile(0.5, p) == 0.0
+        q = np.linspace(0.0, 1.0, 4001)
+        assert np.all(np.diff(gsh_quantile(q, p)) >= 0)
+
+    @pytest.mark.parametrize("t", (-math.pi + 1e-3, -1.0, 0.0, 3.0, 50.0))
+    def test_sample_is_quantile_of_the_uniforms(self, t):
+        p = GshParams.make(1.5, t)
+        u = SeededRng(21, 4).generator().random(5000)
+        np.testing.assert_array_equal(gsh_sample(SeededRng(21, 4), p, 5000),
+                                      gsh_quantile(u, p))
+
+
 class TestSampling:
     def test_empty(self):
         out = gsh_sample(SeededRng(1), GshParams.make(1.0, 1.0), 0)
@@ -198,12 +242,10 @@ class TestSampling:
         assert s.var() == pytest.approx(4.0, abs=0.1)
 
     def test_quantile_boundary_is_finite(self):
-        # a uniform draw of exactly 0 corresponds to the half-mass boundary
-        from gsh_shrink.gsh_prior import _cdf_table
-
-        table = _cdf_table(1.0, 1.0)
-        qs = np.array([0.0, 0.25, 0.4999999, 0.5])
-        out = table.quantile_half(qs)
+        # a uniform draw of exactly 0 reaches q = 0, the boundary of the inverse
+        p = GshParams.make(1.0, 1.0)
+        qs = np.array([0.0, 0.25, 0.5 - 1e-7, 0.5, np.nextafter(1.0, 0.0)])
+        out = gsh_quantile(qs, p)
         assert np.all(np.isfinite(out))
         assert np.all(np.diff(out) >= 0)
 
