@@ -16,8 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +23,9 @@ import numpy as np
 from . import __version__
 from .elicitation import ElicitationConfig
 from .experiments import (ExperimentConfig, METHODS, AmseRecord, denoise_detailed,
-                          experiment_cells, run_cell, run_experiment)
+                          run_experiment)
 from .gsh_prior import GshParams, ShrinkagePrior, gsh_density, gsh_kurtosis
-from .numerics import NumericalDomainError, PIPELINE_QUAD, SeededRng
+from .numerics import PIPELINE_QUAD, SeededRng
 from .risk_analysis import (MONTE_CARLO, QUADRATURE, bayes_risk, default_risk_grid,
                             risk_curve)
 from .shrinkage import ShrinkageRule, shrink_array
@@ -67,47 +65,38 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
         fh.writelines(map(line.format, *cells))
 
 
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    config: dict
-    seed: int | None
-    version: str
-    started_at: str
-    finished_at: str
-    outputs: dict[str, str]
-
-    def write(self, path: Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def _now() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 class _ManifestTimer:
-    def __init__(self, command: str, config: dict, seed: int | None):
-        self.command = command
-        self.config = config
-        self.seed = seed
-        self.started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        self.outputs: dict[str, str] = {}
+    """The run manifest of one command and the out-prefix its files share.
 
-    def add(self, kind: str, path: Path) -> Path:
-        self.outputs[kind] = str(path)
+    Creates the prefix's directory, names each output file as it is
+    registered, and writes ``<prefix>_manifest.json`` on ``finish``.
+    """
+
+    def __init__(self, command: str, out_prefix: str, config: dict,
+                 seed: int | None):
+        self.prefix = Path(out_prefix)
+        self.prefix.parent.mkdir(parents=True, exist_ok=True)
+        self.manifest = {"command": command, "argv": sys.argv[1:],
+                         "config": config, "seed": seed,
+                         "version": __version__, "started_at": _now(),
+                         "outputs": {}}
+
+    def add(self, kind: str, suffix: str) -> Path:
+        """Register output ``kind`` at ``<prefix>_<suffix>`` and return its path."""
+        path = Path(f"{self.prefix}_{suffix}")
+        self.manifest["outputs"][kind] = str(path)
         return path
 
-    def finish(self, path: Path) -> None:
-        manifest = RunManifest(
-            command=self.command,
-            argv=sys.argv[1:],
-            config=self.config,
-            seed=self.seed,
-            version=__version__,
-            started_at=self.started,
-            finished_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            outputs=self.outputs,
-        )
-        manifest.write(path)
+    def finish(self) -> None:
+        path = Path(f"{self.prefix}_manifest.json")
+        with open(path, "w") as fh:
+            json.dump(dict(self.manifest, finished_at=_now()), fh, indent=2,
+                      sort_keys=True)
+            fh.write("\n")
         print(f"manifest: {path}")
 
 
@@ -184,21 +173,18 @@ def cmd_denoise(args) -> int:
     f_hat = result.f_hat[:n] if padded else result.f_hat
     series = values[:n] if padded else values
 
-    timer = _ManifestTimer("denoise", _json_ready({
+    timer = _ManifestTimer("denoise", args.out_prefix, _json_ready({
         "input": args.input, "column": args.column, "method": args.method,
         "pad": args.pad, "length": int(n),
         "elicitation": cfg.elicitation, "vanishing_moments": cfg.vanishing_moments,
     }), seed=None)
+    _write_csv(timer.add("denoised", "denoised.csv"), ["index", "y", "f_hat"],
+               (np.arange(n), series, f_hat))
 
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    denoised = timer.add("denoised", Path(f"{prefix}_denoised.csv"))
-    _write_csv(denoised, ["index", "y", "f_hat"], (np.arange(n), series, f_hat))
-
-    coeff_path = timer.add("coefficients", Path(f"{prefix}_coefficients.csv"))
     levels = result.decomposition.levels
     sizes = [result.decomposition.details[j].size for j in levels]
-    _write_csv(coeff_path, ["level", "position", "empirical", "estimated"], (
+    _write_csv(timer.add("coefficients", "coefficients.csv"),
+               ["level", "position", "empirical", "estimated"], (
         np.repeat(levels, sizes),
         np.concatenate([np.arange(size) for size in sizes]),
         np.concatenate([result.decomposition.details[j] for j in levels]),
@@ -219,7 +205,7 @@ def cmd_denoise(args) -> int:
                   f"admissible range [{_fmt(lo)}, {_fmt(hi)}]; the estimated "
                   "coefficients may be wrong, even in sign (rescale the series)",
                   file=sys.stderr)
-    timer.finish(Path(f"{prefix}_manifest.json"))
+    timer.finish()
     return 0
 
 
@@ -253,17 +239,6 @@ def _split_list(text: str, conv):
         raise CliError(f"cannot parse list {text!r}: {exc}") from exc
 
 
-def _run_cell_task(payload):
-    cfg_kwargs, cell = payload
-    cfg = ExperimentConfig(**cfg_kwargs)
-    try:
-        return run_cell(cfg, *cell)
-    except Exception as exc:
-        raise RuntimeError(
-            f"cell (function={cell[0]}, n={cell[1]}, snr={cell[2]}) "
-            f"failed: {exc}") from exc
-
-
 def cmd_simulate(args) -> int:
     if args.config:
         try:
@@ -286,33 +261,20 @@ def cmd_simulate(args) -> int:
             replications=args.M,
         )
 
-    jobs = args.jobs or int(os.environ.get("GSH_SHRINK_JOBS", "0")) or os.cpu_count() or 1
-    cells = experiment_cells(cfg)
-    if jobs > 1 and len(cells) > 1:
-        cfg_kwargs = {f.name: getattr(cfg, f.name)
-                      for f in dataclasses.fields(ExperimentConfig)}
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_run_cell_task,
-                                   [(cfg_kwargs, cell) for cell in cells]))
-        records = [rec for chunk in chunks for rec in chunk]
-    else:
-        records = run_experiment(cfg)
+    records = run_experiment(cfg, args.jobs or os.cpu_count() or 1)
 
-    timer = _ManifestTimer("simulate", _json_ready(cfg), seed=cfg.base_seed)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    amse_path = timer.add("amse", Path(f"{prefix}_amse.csv"))
+    timer = _ManifestTimer("simulate", args.out_prefix, _json_ready(cfg),
+                           seed=cfg.base_seed)
     _write_csv(
-        amse_path,
+        timer.add("amse", "amse.csv"),
         ["function", "n", "snr", "method", "amse", "std_error", "M", "seed"],
         ([getattr(r, field) for r in records]
          for field in ("function", "n", "snr", "method", "amse", "amse_std_error",
                        "replications", "base_seed")),
     )
-    table_path = timer.add("table", Path(f"{prefix}_table.txt"))
-    table_path.write_text(format_amse_table(records, cfg))
+    timer.add("table", "table.txt").write_text(format_amse_table(records, cfg))
     print(format_amse_table(records, cfg))
-    timer.finish(Path(f"{prefix}_manifest.json"))
+    timer.finish()
     return 0
 
 
@@ -354,19 +316,17 @@ def cmd_risk(args) -> int:
     grid = default_risk_grid(args.grid_lo, args.grid_hi, args.grid_points)
     curve = risk_curve(grid, rule)
 
-    timer = _ManifestTimer("risk", _json_ready({
+    timer = _ManifestTimer("risk", args.out_prefix, _json_ready({
         "t": args.t, "alpha": args.alpha, "tau": args.tau, "sigma": args.sigma,
         "grid_lo": args.grid_lo, "grid_hi": args.grid_hi,
         "grid_points": args.grid_points, "mc_draws": args.mc_draws,
     }), seed=args.seed)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    curve_path = timer.add("risk_curve", Path(f"{prefix}_risk.csv"))
-    _write_csv(curve_path, ["theta", "bias_sq", "variance", "risk"],
+    _write_csv(timer.add("risk_curve", "risk.csv"),
+               ["theta", "bias_sq", "variance", "risk"],
                (curve.theta_grid, curve.squared_bias, curve.variance,
                 curve.classical_risk))
-    rule_path = timer.add("rule", Path(f"{prefix}_rule.csv"))
-    _write_csv(rule_path, ["d", "delta"], (grid, shrink_array(grid, rule)))
+    _write_csv(timer.add("rule", "rule.csv"), ["d", "delta"],
+               (grid, shrink_array(grid, rule)))
 
     quad = bayes_risk(rule, QUADRATURE)
     print(f"bayes_risk_quadrature: {_fmt(quad.value)}")
@@ -375,7 +335,7 @@ def cmd_risk(args) -> int:
                         rng=SeededRng(args.seed))
         print(f"bayes_risk_monte_carlo: {_fmt(mc.value)} "
               f"(std error {_fmt(mc.std_error)}, draws {args.mc_draws})")
-    timer.finish(Path(f"{prefix}_manifest.json"))
+    timer.finish()
     return 0
 
 
@@ -394,14 +354,12 @@ def cmd_prior(args) -> int:
     theta = np.linspace(-half, half, args.points)
     dens = gsh_density(theta, params)
 
-    timer = _ManifestTimer("prior", _json_ready({
+    timer = _ManifestTimer("prior", args.out_prefix, _json_ready({
         "t": args.t, "tau": args.tau, "points": args.points}), seed=None)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    dens_path = timer.add("density", Path(f"{prefix}_density.csv"))
-    _write_csv(dens_path, ["theta", "density"], (theta, dens))
+    _write_csv(timer.add("density", "density.csv"), ["theta", "density"],
+               (theta, dens))
     print(f"kurtosis: {_fmt(gsh_kurtosis(args.t))}")
-    timer.finish(Path(f"{prefix}_manifest.json"))
+    timer.finish()
     return 0
 
 
@@ -417,14 +375,11 @@ def cmd_signal(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    timer = _ManifestTimer("signal", _json_ready({
+    timer = _ManifestTimer("signal", args.out_prefix, _json_ready({
         "function": args.function, "n": args.n, "snr": args.snr,
         "sigma": args.sigma}), seed=None)
-    prefix = Path(args.out_prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    sig_path = timer.add("signal", Path(f"{prefix}_signal.csv"))
-    _write_csv(sig_path, ["x", "f"], (x, f))
-    timer.finish(Path(f"{prefix}_manifest.json"))
+    _write_csv(timer.add("signal", "signal.csv"), ["x", "f"], (x, f))
+    timer.finish()
     return 0
 
 
@@ -478,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--signal-sd", type=float, default=7.0,
                    help="fixed signal sd; noise sigma = signal_sd/snr")
     s.add_argument("--jobs", type=int, default=0,
-                   help="worker processes (default: GSH_SHRINK_JOBS or all cores)")
+                   help="worker processes, at most one per cell "
+                        "(default 0: one per core)")
     s.add_argument("--out-prefix", default="simulate", metavar="PREFIX")
     _add_pipeline_flags(s)
     s.set_defaults(func=cmd_simulate)
@@ -520,7 +476,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NumericalDomainError, FloatingPointError, RuntimeError) as exc:
+    except (FloatingPointError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (CliError, ValueError) as exc:

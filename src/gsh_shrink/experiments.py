@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,19 +172,16 @@ def denoise_detailed(y, method: str, cfg: ExperimentConfig | None = None) -> Den
     estimated: dict[int, np.ndarray]
     hyper = None
     if method == GSH:
-        if sigma_hat == 0.0:
+        try:
+            hyper = None if sigma_hat == 0.0 else elicit_all(decomp, cfg.elicitation)
+        except DegenerateInputError:
+            pass
+        if hyper is None:
             estimated = {j: decomp.details[j].copy() for j in levels}
         else:
-            try:
-                hyper = elicit_all(decomp, cfg.elicitation)
-            except DegenerateInputError:
-                hyper = None
-            if hyper is None:
-                estimated = {j: decomp.details[j].copy() for j in levels}
-            else:
-                rules = _gsh_rules(hyper, cfg.quad)
-                estimated = {j: shrink_array(decomp.details[j], rules[j])
-                             for j in levels}
+            rules = _gsh_rules(hyper, cfg.quad)
+            estimated = {j: shrink_array(decomp.details[j], rules[j])
+                         for j in levels}
     elif method in (UNIVERSAL_HARD, UNIVERSAL_SOFT):
         mode = "hard" if method == UNIVERSAL_HARD else "soft"
         estimated = {
@@ -237,17 +235,33 @@ def experiment_cells(cfg: ExperimentConfig) -> list[tuple[str, int, float]]:
             for fn in cfg.functions for n in cfg.sizes for snr in cfg.snrs]
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[AmseRecord]:
+def _run_named_cell(cfg: ExperimentConfig,
+                    cell: tuple[str, int, float]) -> list[AmseRecord]:
+    """run_cell, with the cell named in the error if it fails."""
+    function, n, snr = cell
+    try:
+        return run_cell(cfg, function, n, snr)
+    except Exception as exc:
+        raise RuntimeError(
+            f"cell (function={function}, n={n}, snr={snr}) failed: {exc}"
+        ) from exc
+
+
+def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[AmseRecord]:
     """Run the full grid; record order and contents are deterministic.
 
-    A failure inside any cell aborts the run with the cell named.
+    With ``jobs`` > 1 the cells are shared out to at most ``jobs`` worker
+    processes, never more than there are cells; the records are the same
+    for every worker count.  A failure inside any cell aborts the run with
+    the cell named.
     """
-    records: list[AmseRecord] = []
-    for function, n, snr in experiment_cells(cfg):
-        try:
-            records.extend(run_cell(cfg, function, n, snr))
-        except Exception as exc:
-            raise RuntimeError(
-                f"cell (function={function}, n={n}, snr={snr}) failed: {exc}"
-            ) from exc
-    return records
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cells = experiment_cells(cfg)
+    workers = min(jobs, len(cells))
+    if workers == 1:
+        chunks = [_run_named_cell(cfg, cell) for cell in cells]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_run_named_cell, [cfg] * len(cells), cells))
+    return [rec for chunk in chunks for rec in chunk]

@@ -8,17 +8,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 GAUSS_HERMITE = "gauss_hermite"
 TRAPEZOID_ORACLE = "trapezoid_oracle"
 _METHODS = (GAUSS_HERMITE, TRAPEZOID_ORACLE)
-
-class NumericalDomainError(ArithmeticError):
-    """An integrand evaluated to a non-finite value inside the quadrature range."""
-
 
 class DegenerateInputError(ValueError):
     """Input data carries no usable variation (e.g. a constant vector)."""
@@ -100,59 +95,6 @@ class SeededRng:
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = np.polynomial.hermite.hermgauss(n)
     return x, w
-
-
-def gauss_hermite_nodes(n: int) -> list[tuple[float, float]]:
-    """Nodes and weights of the n-point Gauss-Hermite rule.
-
-    The rule integrates against the weight exp(-x^2), so the weights sum
-    to sqrt(pi) and the nodes are symmetric about zero.
-    """
-    if not 1 <= n <= 256:
-        raise ValueError(f"node count must be in 1..256, got {n}")
-    x, w = _hermgauss(n)
-    return list(zip(x.tolist(), w.tolist()))
-
-
-def _eval_integrand(h: Callable, z: np.ndarray) -> np.ndarray:
-    try:
-        vals = h(z)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or np.shape(vals) != z.shape:
-        # scalar-only callable: evaluate pointwise
-        vals = np.array([h(float(v)) for v in z], dtype=float)
-    else:
-        vals = np.asarray(vals, dtype=float)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NumericalDomainError(
-            f"integrand is not finite at abscissa {z[i]!r}"
-        )
-    return vals
-
-
-def expect_gaussian(h: Callable, mu: float, sigma: float,
-                    spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """E[h(Z)] for Z ~ Normal(mu, sigma^2) under the given quadrature.
-
-    ``h`` should accept a 1-d ndarray (scalar-only callables are handled,
-    slowly).  Raises :class:`NumericalDomainError` if ``h`` is non-finite
-    at any node.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if spec.method == GAUSS_HERMITE:
-        x, w = _hermgauss(spec.node_count)
-        z = mu + sigma * np.sqrt(2.0) * x
-        vals = _eval_integrand(h, z)
-        return float(vals @ w / np.sqrt(np.pi))
-    k = spec.oracle_halfwidth
-    z = np.linspace(mu - k * sigma, mu + k * sigma, spec.oracle_points)
-    vals = _eval_integrand(h, z)
-    dens = np.exp(-0.5 * ((z - mu) / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi))
-    return float(np.trapezoid(vals * dens, z))
 
 
 def gaussian_quad_nodes(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:

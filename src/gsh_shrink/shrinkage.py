@@ -22,7 +22,6 @@ matrix to stay in cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -48,7 +47,7 @@ class ShrinkageRule:
 
 
 def shrink_array(d, rule: ShrinkageRule) -> np.ndarray:
-    """Vectorised posterior mean; the workhorse behind shrink/shrink_vector."""
+    """Vectorised posterior mean; the workhorse behind shrink."""
     d = np.asarray(d, dtype=float)
     alpha = rule.prior.alpha
     if alpha == 1.0:
@@ -121,21 +120,3 @@ def shrink(d: float, rule: ShrinkageRule) -> float:
         raise ValueError(f"coefficient must be finite, got {d!r}")
     return float(shrink_array(np.array([d]), rule)[0])
 
-
-def shrink_vector(coeffs, rules: Mapping[int, ShrinkageRule], level_index) -> np.ndarray:
-    """Apply each coefficient's per-level rule elementwise.
-
-    ``level_index[i]`` names the resolution level of ``coeffs[i]``; every
-    level that occurs must have a rule in ``rules``.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    level_index = np.asarray(level_index, dtype=int)
-    if coeffs.shape != level_index.shape:
-        raise ValueError("coeffs and level_index must have equal length")
-    out = np.empty_like(coeffs)
-    for level in np.unique(level_index):
-        if level not in rules:
-            raise ValueError(f"no shrinkage rule configured for level {level}")
-        mask = level_index == level
-        out[mask] = shrink_array(coeffs[mask], rules[level])
-    return out

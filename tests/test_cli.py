@@ -203,12 +203,11 @@ class TestSimulate:
         manifest = json.loads(Path(f"{out}_manifest.json").read_text())
         assert manifest["config"]["elicitation"]["gamma"] == 1.5
 
-    def test_jobs_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("GSH_SHRINK_JOBS", "1")
-        out = tmp_path / "env"
-        args = [a for a in self.ARGS if a != "--jobs" and a != "1"]
-        assert main(args + ["--out-prefix", str(out)]) == 0
-        assert Path(f"{out}_amse.csv").exists()
+    def test_negative_jobs_exits_2(self, tmp_path, capsys):
+        args = [a if a != "1" else "-1" for a in self.ARGS]
+        assert main(args + ["--out-prefix", str(tmp_path / "neg")]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not Path(f"{tmp_path / 'neg'}_amse.csv").exists()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -311,6 +310,36 @@ class TestSignal:
     def test_bad_n_exits_2(self, tmp_path):
         assert main(["signal", "--function", "bumps", "--n", "500",
                      "--out-prefix", str(tmp_path / "bad")]) == 2
+
+
+MANIFEST_KEYS = {"command", "argv", "config", "seed", "version", "started_at",
+                 "finished_at", "outputs"}
+
+
+@pytest.mark.parametrize("command, args, outputs", [
+    ("denoise", [], {"denoised": "denoised.csv",
+                     "coefficients": "coefficients.csv"}),
+    ("simulate", ["--functions", "heavisine", "--n", "512", "--snr", "3",
+                  "--methods", "universal_hard", "--M", "1", "--jobs", "1"],
+     {"amse": "amse.csv", "table": "table.txt"}),
+    ("risk", ["--t", "3", "--mc-draws", "0", "--grid-points", "9"],
+     {"risk_curve": "risk.csv", "rule": "rule.csv"}),
+    ("prior", ["--t", "1", "--points", "101"], {"density": "density.csv"}),
+    ("signal", ["--function", "bumps", "--n", "64"], {"signal": "signal.csv"}),
+])
+def test_manifest_keys_and_outputs(tmp_path, heavisine_series, command, args,
+                                   outputs):
+    if command == "denoise":
+        args = [str(heavisine_series[0])]
+    prefix = tmp_path / "new_dir" / "run"
+    assert main([command, *args, "--out-prefix", str(prefix)]) == 0
+    manifest = json.loads(Path(f"{prefix}_manifest.json").read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert manifest["outputs"] == {kind: f"{prefix}_{suffix}"
+                                   for kind, suffix in outputs.items()}
+    for path in manifest["outputs"].values():
+        assert Path(path).is_file()
 
 
 def write_csv_with_csv_module(path, header, rows):

@@ -3,11 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gsh_shrink.experiments as exp
 from gsh_shrink.elicitation import ElicitationConfig
 from gsh_shrink.experiments import (ExperimentConfig, cell_stream_id, denoise,
                                     denoise_detailed, mse, run_experiment,
                                     sure_threshold, universal_threshold)
+from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior
 from gsh_shrink.numerics import SeededRng, sample_normal
+from gsh_shrink.shrinkage import ShrinkageRule, shrink_array
 from gsh_shrink.signals import make_noisy_sample
 
 FAST_CFG = ExperimentConfig(functions=("heavisine",), sizes=(512,),
@@ -113,12 +116,27 @@ class TestDenoise:
 
     def test_detailed_result_contents(self):
         sample = make_noisy_sample("heavisine", 512, 5.0, 1.4, SeededRng(3))
-        res = denoise_detailed(sample.y, "gsh", FAST_CFG)
+        cfg = dataclasses.replace(
+            FAST_CFG, elicitation=ElicitationConfig(pool_levels=False))
+        res = denoise_detailed(sample.y, "gsh", cfg)
         assert res.sigma_hat > 0
-        assert res.hyperparams is not None
+        hyper = res.hyperparams
+        assert hyper is not None
         assert res.estimated.levels == res.decomposition.levels
         np.testing.assert_array_equal(res.estimated.scaling,
                                       res.decomposition.scaling)
+        # each level is shrunk by its own rule, built from the reported
+        # hyperparameters, and by no other level's
+        rules = {j: ShrinkageRule(
+                     prior=ShrinkagePrior(hyper.alpha_by_level[j],
+                                          GshParams.make(hyper.tau, hyper.level_t(j))),
+                     sigma=hyper.sigma_hat, quad=cfg.quad)
+                 for j in res.decomposition.levels}
+        assert len(set(rules.values())) == len(rules)
+        for j, rule in rules.items():
+            np.testing.assert_array_equal(
+                res.estimated.details[j],
+                shrink_array(res.decomposition.details[j], rule))
 
 
 class TestRunExperiment:
@@ -147,15 +165,52 @@ class TestRunExperiment:
         assert len(keys) == len(records)
 
     def test_failing_cell_is_identified(self, monkeypatch):
-        import gsh_shrink.experiments as exp
+        real = exp.make_noisy_sample
 
-        def boom(*args, **kwargs):
-            raise FloatingPointError("synthetic failure")
+        def fail_at_snr_5(function, n, snr, sigma, rng):
+            if snr == 5.0:
+                raise FloatingPointError("synthetic failure")
+            return real(function, n, snr, sigma, rng)
 
-        monkeypatch.setattr(exp, "denoise", boom)
-        with pytest.raises(RuntimeError,
-                           match=r"function=heavisine, n=512, snr=3"):
-            run_experiment(FAST_CFG)
+        # forked workers inherit the patch; only the second cell fails
+        monkeypatch.setattr(exp, "make_noisy_sample", fail_at_snr_5)
+        cfg = dataclasses.replace(FAST_CFG, snrs=(3.0, 5.0), replications=1)
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError, match=r"cell \(function=heavisine, "
+                               r"n=512, snr=5\.0\) failed: synthetic failure"):
+                run_experiment(cfg, jobs)
+
+    def test_worker_count_does_not_change_records(self):
+        cfg = dataclasses.replace(FAST_CFG, functions=("blocks", "doppler"))
+        assert run_experiment(cfg, jobs=2) == run_experiment(cfg, jobs=1)
+
+    def test_pool_capped_at_cell_count(self, monkeypatch):
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = dataclasses.replace(FAST_CFG, snrs=(3.0, 5.0),
+                                  methods=("universal_hard",))
+        serial = run_experiment(cfg)
+        monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+        assert run_experiment(cfg, jobs=8) == serial
+        assert asked == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(FAST_CFG, jobs)
 
     def test_stream_ids_stable_and_distinct(self):
         a = cell_stream_id("bumps", 512, 3.0, 0)

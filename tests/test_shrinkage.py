@@ -9,8 +9,7 @@ from conftest import oracle_posterior_mean
 from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
 from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
                                  TRAPEZOID_ORACLE, gaussian_quad_nodes)
-from gsh_shrink.shrinkage import (ShrinkageRule, shrink, shrink_array,
-                                  shrink_vector)
+from gsh_shrink.shrinkage import ShrinkageRule, shrink, shrink_array
 
 GH64 = QuadratureSpec(node_count=64)
 
@@ -36,6 +35,12 @@ class TestBasics:
             shrink(float("nan"), rule)
         with pytest.raises(ValueError):
             shrink(float("inf"), rule)
+
+    def test_empty_input(self):
+        for alpha in (0.9, 1.0):
+            out = shrink_array(np.empty((0,)), make_rule(alpha=alpha))
+            assert out.shape == (0,)
+            assert out.dtype == np.float64
 
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
@@ -225,33 +230,3 @@ class TestCoshFormReference:
                 assert got.shape == d.shape
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * sigma,
                                            err_msg=f"sigma/tau={ratio} alpha={alpha}")
-
-
-class TestShrinkVector:
-    def test_empty(self):
-        out = shrink_vector([], {4: make_rule()}, [])
-        assert out.shape == (0,)
-
-    def test_all_zero(self):
-        out = shrink_vector(np.zeros(8), {4: make_rule()}, np.full(8, 4))
-        np.testing.assert_array_equal(out, np.zeros(8))
-
-    def test_antisymmetric_pair(self):
-        rule = make_rule()
-        out = shrink_vector([-2.0, 2.0], {4: rule}, [4, 4])
-        assert out[0] == pytest.approx(-out[1], abs=1e-12)
-        assert out[1] == pytest.approx(shrink(2.0, rule), abs=1e-12)
-
-    def test_missing_level_named(self):
-        with pytest.raises(ValueError, match="level 5"):
-            shrink_vector([1.0], {4: make_rule()}, [5])
-
-    def test_levels_routed_to_their_rules(self):
-        rules = {4: make_rule(alpha=0.0), 5: make_rule(alpha=1.0)}
-        out = shrink_vector([3.0, 3.0], rules, [4, 5])
-        assert out[1] == 0.0
-        assert out[0] == pytest.approx(shrink(3.0, rules[4]), abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            shrink_vector([1.0, 2.0], {4: make_rule()}, [4])
