@@ -2,9 +2,11 @@
 emit prior/risk diagnostics as plot-ready CSV files.
 
 Exit codes: 0 on success, 2 for usage or configuration errors, 3 for
-numerical failures.  Every command writes a JSON run manifest next to its
-outputs; rerunning a command with identical inputs reproduces the data
-files byte for byte (the manifest itself carries wall-clock timestamps).
+numerical failures.  ``main`` times every command and, once it has
+succeeded, writes a JSON run manifest next to its outputs; a command that
+fails writes nothing.  Rerunning a command with identical inputs reproduces
+the data files byte for byte (the manifest itself carries wall-clock
+timestamps).
 """
 from __future__ import annotations
 
@@ -69,33 +71,43 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-class _ManifestTimer:
+#: Parsed arguments that are not part of a command's recorded config.
+_NOT_CONFIG = ("command", "func", "out_prefix", "seed")
+
+
+class _RunRecord:
     """The run manifest of one command and the out-prefix its files share.
 
-    Creates the prefix's directory, names each output file as it is
-    registered, and writes ``<prefix>_manifest.json`` on ``finish``.
+    ``main`` opens the record before the command runs and finishes it once
+    the command has succeeded, so ``started_at`` and ``finished_at`` bracket
+    the whole command.  The config defaults to the parsed arguments and the
+    seed to ``--seed``; a command that resolves either sets it.  ``add``
+    creates the prefix's directory and names each output as it is
+    registered; ``finish`` writes ``<prefix>_manifest.json``.
     """
 
-    def __init__(self, command: str, out_prefix: str, config: dict,
-                 seed: int | None):
-        self.prefix = Path(out_prefix)
-        self.prefix.parent.mkdir(parents=True, exist_ok=True)
-        self.manifest = {"command": command, "argv": sys.argv[1:],
-                         "config": config, "seed": seed,
-                         "version": __version__, "started_at": _now(),
-                         "outputs": {}}
+    def __init__(self, args, argv: list[str]):
+        self.prefix = Path(args.out_prefix)
+        self.config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+        self.seed = getattr(args, "seed", None)
+        self.outputs: dict[str, str] = {}
+        self.manifest = {"command": args.command, "argv": argv,
+                         "version": __version__, "started_at": _now()}
 
     def add(self, kind: str, suffix: str) -> Path:
         """Register output ``kind`` at ``<prefix>_<suffix>`` and return its path."""
+        self.prefix.parent.mkdir(parents=True, exist_ok=True)
         path = Path(f"{self.prefix}_{suffix}")
-        self.manifest["outputs"][kind] = str(path)
+        self.outputs[kind] = str(path)
         return path
 
     def finish(self) -> None:
         path = Path(f"{self.prefix}_manifest.json")
         with open(path, "w") as fh:
-            json.dump(dict(self.manifest, finished_at=_now()), fh, indent=2,
-                      sort_keys=True)
+            json.dump(dict(self.manifest, config=_json_ready(self.config),
+                           seed=self.seed, outputs=self.outputs,
+                           finished_at=_now()),
+                      fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"manifest: {path}")
 
@@ -151,7 +163,7 @@ def _pad_symmetric(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.pad(values, (0, target - n), mode="symmetric"), n
 
 
-def cmd_denoise(args) -> int:
+def cmd_denoise(args, run: _RunRecord) -> None:
     values = _read_series(args.input, args.column)
     n = values.size
     padded = False
@@ -167,23 +179,26 @@ def cmd_denoise(args) -> int:
                 f"lengths are {lo} and {hi} (or rerun with --pad=symmetric)"
             )
 
-    cfg = _experiment_config(args, functions=FUNCTION_NAMES, sizes=(values.size,),
-                             snrs=(3.0,), methods=(args.method,), replications=1)
+    # sizes holds the one length the config checks the primary level against
+    cfg = ExperimentConfig(
+        sizes=(values.size,), vanishing_moments=args.wavelet,
+        elicitation=ElicitationConfig(gamma=args.gamma,
+                                      primary_level=args.primary_level,
+                                      pool_levels=not args.per_level_t))
     result = denoise_detailed(values, args.method, cfg)
     f_hat = result.f_hat[:n] if padded else result.f_hat
     series = values[:n] if padded else values
 
-    timer = _ManifestTimer("denoise", args.out_prefix, _json_ready({
-        "input": args.input, "column": args.column, "method": args.method,
-        "pad": args.pad, "length": int(n),
-        "elicitation": cfg.elicitation, "vanishing_moments": cfg.vanishing_moments,
-    }), seed=None)
-    _write_csv(timer.add("denoised", "denoised.csv"), ["index", "y", "f_hat"],
+    run.config = {"input": args.input, "column": args.column,
+                  "method": args.method, "pad": args.pad, "length": int(n),
+                  "elicitation": cfg.elicitation,
+                  "vanishing_moments": cfg.vanishing_moments}
+    _write_csv(run.add("denoised", "denoised.csv"), ["index", "y", "f_hat"],
                (np.arange(n), series, f_hat))
 
     levels = result.decomposition.levels
     sizes = [result.decomposition.details[j].size for j in levels]
-    _write_csv(timer.add("coefficients", "coefficients.csv"),
+    _write_csv(run.add("coefficients", "coefficients.csv"),
                ["level", "position", "empirical", "estimated"], (
         np.repeat(levels, sizes),
         np.concatenate([np.arange(size) for size in sizes]),
@@ -205,77 +220,55 @@ def cmd_denoise(args) -> int:
                   f"admissible range [{_fmt(lo)}, {_fmt(hi)}]; the estimated "
                   "coefficients may be wrong, even in sign (rescale the series)",
                   file=sys.stderr)
-    timer.finish()
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def _experiment_config(args, functions, sizes, snrs, methods,
-                       replications) -> ExperimentConfig:
-    elic = ElicitationConfig(
-        gamma=args.gamma,
-        primary_level=args.primary_level,
-        pool_levels=not args.per_level_t,
-    )
+def _split_list(text: str, conv) -> list:
+    return [conv(tok) for tok in text.split(",") if tok]
+
+
+def cmd_simulate(args, run: _RunRecord) -> None:
     try:
-        return ExperimentConfig(
-            functions=tuple(functions), sizes=tuple(sizes), snrs=tuple(snrs),
-            replications=replications, methods=tuple(methods),
-            base_seed=args.seed if hasattr(args, "seed") else 0,
-            elicitation=elic, vanishing_moments=args.wavelet,
-            signal_sd=getattr(args, "signal_sd", 7.0),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _split_list(text: str, conv):
-    try:
-        return tuple(conv(tok) for tok in text.split(",") if tok)
-    except ValueError as exc:
-        raise CliError(f"cannot parse list {text!r}: {exc}") from exc
-
-
-def cmd_simulate(args) -> int:
-    if args.config:
-        try:
+        if args.config:
             with open(args.config) as fh:
                 raw = json.load(fh)
-            elic = ElicitationConfig(**raw.pop("elicitation", {}))
-            for key in ("functions", "sizes", "snrs", "methods"):
-                if key in raw:
-                    raw[key] = tuple(raw[key])
-            cfg = ExperimentConfig(elicitation=elic, **raw)
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise CliError(f"invalid experiment config: {exc}") from exc
-    else:
-        cfg = _experiment_config(
-            args,
-            functions=_split_list(args.functions, str),
-            sizes=_split_list(args.n, int),
-            snrs=_split_list(args.snr, float),
-            methods=_split_list(args.methods, str),
-            replications=args.M,
-        )
+            if not isinstance(raw, dict):
+                raise TypeError("the file must hold one JSON object")
+        else:
+            raw = {"functions": _split_list(args.functions, str),
+                   "sizes": _split_list(args.n, int),
+                   "snrs": _split_list(args.snr, float),
+                   "methods": _split_list(args.methods, str),
+                   "replications": args.M, "base_seed": args.seed,
+                   "elicitation": {"gamma": args.gamma,
+                                   "primary_level": args.primary_level,
+                                   "pool_levels": not args.per_level_t},
+                   "vanishing_moments": args.wavelet,
+                   "signal_sd": args.signal_sd}
+        raw["elicitation"] = ElicitationConfig(**raw.get("elicitation", {}))
+        for key in ("functions", "sizes", "snrs", "methods"):
+            if key in raw:
+                raw[key] = tuple(raw[key])
+        cfg = ExperimentConfig(**raw)
+    except (OSError, TypeError, ValueError) as exc:
+        raise CliError(f"invalid experiment config: {exc}") from exc
 
     records = run_experiment(cfg, args.jobs or os.cpu_count() or 1)
 
-    timer = _ManifestTimer("simulate", args.out_prefix, _json_ready(cfg),
-                           seed=cfg.base_seed)
+    run.config, run.seed = cfg, cfg.base_seed
     _write_csv(
-        timer.add("amse", "amse.csv"),
+        run.add("amse", "amse.csv"),
         ["function", "n", "snr", "method", "amse", "std_error", "M", "seed"],
         ([getattr(r, field) for r in records]
          for field in ("function", "n", "snr", "method", "amse", "amse_std_error",
                        "replications", "base_seed")),
     )
-    timer.add("table", "table.txt").write_text(format_amse_table(records, cfg))
-    print(format_amse_table(records, cfg))
-    timer.finish()
-    return 0
+    table = format_amse_table(records, cfg)
+    run.add("table", "table.txt").write_text(table)
+    print(table)
 
 
 def format_amse_table(records: list[AmseRecord], cfg: ExperimentConfig) -> str:
@@ -303,47 +296,34 @@ def format_amse_table(records: list[AmseRecord], cfg: ExperimentConfig) -> str:
 # risk
 # ---------------------------------------------------------------------------
 
-def _rule_from_args(args) -> ShrinkageRule:
+def cmd_risk(args, run: _RunRecord) -> None:
     try:
         prior = ShrinkagePrior(alpha=args.alpha, gsh=GshParams.make(args.tau, args.t))
-        return ShrinkageRule(prior=prior, sigma=args.sigma, quad=PIPELINE_QUAD)
+        rule = ShrinkageRule(prior=prior, sigma=args.sigma, quad=PIPELINE_QUAD)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-
-
-def cmd_risk(args) -> int:
-    rule = _rule_from_args(args)
     grid = default_risk_grid(args.grid_lo, args.grid_hi, args.grid_points)
     curve = risk_curve(grid, rule)
-
-    timer = _ManifestTimer("risk", args.out_prefix, _json_ready({
-        "t": args.t, "alpha": args.alpha, "tau": args.tau, "sigma": args.sigma,
-        "grid_lo": args.grid_lo, "grid_hi": args.grid_hi,
-        "grid_points": args.grid_points, "mc_draws": args.mc_draws,
-    }), seed=args.seed)
-    _write_csv(timer.add("risk_curve", "risk.csv"),
-               ["theta", "bias_sq", "variance", "risk"],
-               (curve.theta_grid, curve.squared_bias, curve.variance,
-                curve.classical_risk))
-    _write_csv(timer.add("rule", "rule.csv"), ["d", "delta"],
-               (grid, shrink_array(grid, rule)))
-
-    quad = bayes_risk(rule, QUADRATURE)
-    print(f"bayes_risk_quadrature: {_fmt(quad.value)}")
+    print(f"bayes_risk_quadrature: {_fmt(bayes_risk(rule, QUADRATURE).value)}")
     if args.mc_draws > 0 and rule.prior.alpha < 1.0:
         mc = bayes_risk(rule, MONTE_CARLO, mc_draws=args.mc_draws,
                         rng=SeededRng(args.seed))
         print(f"bayes_risk_monte_carlo: {_fmt(mc.value)} "
               f"(std error {_fmt(mc.std_error)}, draws {args.mc_draws})")
-    timer.finish()
-    return 0
+
+    _write_csv(run.add("risk_curve", "risk.csv"),
+               ["theta", "bias_sq", "variance", "risk"],
+               (curve.theta_grid, curve.squared_bias, curve.variance,
+                curve.classical_risk))
+    _write_csv(run.add("rule", "rule.csv"), ["d", "delta"],
+               (grid, shrink_array(grid, rule)))
 
 
 # ---------------------------------------------------------------------------
 # prior
 # ---------------------------------------------------------------------------
 
-def cmd_prior(args) -> int:
+def cmd_prior(args, run: _RunRecord) -> None:
     try:
         params = GshParams.make(args.tau, args.t)
     except ValueError as exc:
@@ -354,20 +334,16 @@ def cmd_prior(args) -> int:
     theta = np.linspace(-half, half, args.points)
     dens = gsh_density(theta, params)
 
-    timer = _ManifestTimer("prior", args.out_prefix, _json_ready({
-        "t": args.t, "tau": args.tau, "points": args.points}), seed=None)
-    _write_csv(timer.add("density", "density.csv"), ["theta", "density"],
+    _write_csv(run.add("density", "density.csv"), ["theta", "density"],
                (theta, dens))
     print(f"kurtosis: {_fmt(gsh_kurtosis(args.t))}")
-    timer.finish()
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # signal
 # ---------------------------------------------------------------------------
 
-def cmd_signal(args) -> int:
+def cmd_signal(args, run: _RunRecord) -> None:
     try:
         x, f = sample_function(args.function, args.n)
         if args.snr is not None:
@@ -375,12 +351,7 @@ def cmd_signal(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    timer = _ManifestTimer("signal", args.out_prefix, _json_ready({
-        "function": args.function, "n": args.n, "snr": args.snr,
-        "sigma": args.sigma}), seed=None)
-    _write_csv(timer.add("signal", "signal.csv"), ["x", "f"], (x, f))
-    timer.finish()
-    return 0
+    _write_csv(run.add("signal", "signal.csv"), ["x", "f"], (x, f))
 
 
 # ---------------------------------------------------------------------------
@@ -472,16 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    run = _RunRecord(args, argv)
     try:
-        return args.func(args)
+        args.func(args, run)
     except (FloatingPointError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    run.finish()
+    return 0
 
 
 if __name__ == "__main__":

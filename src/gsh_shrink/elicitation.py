@@ -10,6 +10,7 @@ around zero is controlled through alpha alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,25 +37,23 @@ class ElicitationConfig:
     """Knobs of the elicitation step.
 
     gamma is the spike-weight exponent (2 in the absence of other
-    information), primary_level the coarsest shrunk level J0, and
-    [t_min, t_max] the admissible range of the slab shape.  With
+    information) and primary_level the coarsest shrunk level J0.  With
     ``pool_levels`` one t is shared across all detail levels; otherwise t
-    is per level with a pooled fallback for short levels.
+    is per level with a pooled fallback for short levels.  The elicited t
+    is clamped to the fixed range [t_min, t_max].
     """
 
     gamma: float = 2.0
     primary_level: int = 4
-    t_min: float = -np.pi + 1e-3
-    t_max: float = 50.0
     pool_levels: bool = True
+    t_min: ClassVar[float] = -np.pi + 1e-3
+    t_max: ClassVar[float] = 50.0
 
     def __post_init__(self) -> None:
         if self.gamma <= 0:
             raise ValueError("gamma must be > 0")
         if self.primary_level < 0:
             raise ValueError("primary_level must be >= 0")
-        if not (-np.pi < self.t_min < self.t_max):
-            raise ValueError("need -pi < t_min < t_max")
 
 
 @dataclass(frozen=True)

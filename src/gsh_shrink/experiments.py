@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class ExperimentConfig:
     elicitation: ElicitationConfig = field(default_factory=ElicitationConfig)
     vanishing_moments: int = 10
     signal_sd: float = SIGNAL_SD
-    quad: QuadratureSpec = PIPELINE_QUAD
+    quad: ClassVar[QuadratureSpec] = PIPELINE_QUAD
 
     def __post_init__(self) -> None:
         if not self.functions or not self.sizes or not self.snrs or not self.methods:
@@ -67,10 +67,14 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        for snr in self.snrs:
+            if not (math.isfinite(snr) and snr > 0):
+                raise ValueError(f"snrs must be finite and > 0, got {snr}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
-        if self.signal_sd <= 0:
-            raise ValueError("signal_sd must be positive")
+        daubechies_filter(self.vanishing_moments)  # raises for an unknown filter
+        if not (math.isfinite(self.signal_sd) and self.signal_sd > 0):
+            raise ValueError(f"signal_sd must be finite and > 0, got {self.signal_sd}")
 
     def noise_sigma(self, snr: float) -> float:
         return self.signal_sd / snr
@@ -262,6 +266,9 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> list[AmseRecord]:
     if workers == 1:
         chunks = [_run_named_cell(cfg, cell) for cell in cells]
     else:
+        # imported here, not at the top: only a pooled run needs it, and it
+        # is the slowest import of the CLI's start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_named_cell, [cfg] * len(cells), cells))
     return [rec for chunk in chunks for rec in chunk]

@@ -50,16 +50,15 @@ class BayesRiskEstimate:
     std_error: float = 0.0
 
 
-def rule_moments(theta, rule: ShrinkageRule,
-                 spec: QuadratureSpec = DEFAULT_MOMENT_QUAD):
+def rule_moments(theta, rule: ShrinkageRule):
     """(squared bias, variance, risk) of the rule at fixed theta.
 
     Computes m1 = E[delta(d)] and m2 = E[delta(d)^2] over d ~ N(theta,
-    sigma^2) with the given outer quadrature; theta may be a scalar or an
-    array.
+    sigma^2) with the outer quadrature DEFAULT_MOMENT_QUAD; theta may be a
+    scalar or an array.
     """
     th = np.atleast_1d(np.asarray(theta, dtype=float))
-    u, v = gaussian_quad_nodes(spec)
+    u, v = gaussian_quad_nodes(DEFAULT_MOMENT_QUAD)
     d = th[:, None] + rule.sigma * u[None, :]
     delta = shrink_array(d, rule)
     m1 = delta @ v
@@ -72,11 +71,10 @@ def rule_moments(theta, rule: ShrinkageRule,
     return bias_sq, variance, risk
 
 
-def risk_curve(grid, rule: ShrinkageRule,
-               spec: QuadratureSpec = DEFAULT_MOMENT_QUAD) -> RiskCurve:
+def risk_curve(grid, rule: ShrinkageRule) -> RiskCurve:
     """Risk diagnostics along a grid of coefficient values."""
     grid = np.asarray(grid, dtype=float)
-    bias_sq, variance, risk = rule_moments(grid, rule, spec)
+    bias_sq, variance, risk = rule_moments(grid, rule)
     return RiskCurve(theta_grid=grid, squared_bias=bias_sq,
                      variance=variance, classical_risk=risk)
 
@@ -88,8 +86,7 @@ def default_risk_grid(lo: float = -8.0, hi: float = 8.0,
 
 def bayes_risk(rule: ShrinkageRule, method: str = QUADRATURE,
                mc_draws: int = 100_000, rng: SeededRng | None = None,
-               theta_points: int = 4801,
-               spec: QuadratureSpec = DEFAULT_MOMENT_QUAD) -> BayesRiskEstimate:
+               theta_points: int = 4801) -> BayesRiskEstimate:
     """Bayes risk r = alpha R(0) + (1 - alpha) E_g[R(theta)].
 
     ``quadrature`` integrates R(theta) g(theta) by the trapezoid rule over
@@ -100,7 +97,7 @@ def bayes_risk(rule: ShrinkageRule, method: str = QUADRATURE,
         raise ValueError(f"unknown Bayes-risk method {method!r}")
     alpha = rule.prior.alpha
     p = rule.prior.gsh
-    risk0 = rule_moments(0.0, rule, spec)[2]
+    risk0 = rule_moments(0.0, rule)[2]
     if alpha == 1.0:
         return BayesRiskEstimate(value=alpha * risk0, method=method)
 
@@ -109,7 +106,7 @@ def bayes_risk(rule: ShrinkageRule, method: str = QUADRATURE,
             raise ValueError("theta_points must be >= 3")
         theta = np.linspace(-_SLAB_HALF_RANGE * p.tau, _SLAB_HALF_RANGE * p.tau,
                             theta_points)
-        risk = rule_moments(theta, rule, spec)[2]
+        risk = rule_moments(theta, rule)[2]
         slab = float(np.trapezoid(risk * gsh_density(theta, p), theta))
         return BayesRiskEstimate(value=alpha * risk0 + (1.0 - alpha) * slab,
                                  method=QUADRATURE)
@@ -119,7 +116,7 @@ def bayes_risk(rule: ShrinkageRule, method: str = QUADRATURE,
     if rng is None:
         raise ValueError("monte_carlo estimation needs a SeededRng")
     theta = gsh_sample(rng, p, mc_draws)
-    risk = rule_moments(theta, rule, spec)[2]
+    risk = rule_moments(theta, rule)[2]
     slab_mean = float(np.mean(risk))
     if mc_draws > 1:
         se = (1.0 - alpha) * float(np.std(risk, ddof=1)) / np.sqrt(mc_draws)

@@ -3,16 +3,19 @@ import json
 import math
 import subprocess
 import sys
+import time
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gsh_shrink
-from gsh_shrink.cli import _experiment_config, _fmt, _write_csv, build_parser, main
-from gsh_shrink.experiments import denoise_detailed
+from gsh_shrink import cli
+from gsh_shrink.cli import _fmt, _write_csv, main
+from gsh_shrink.experiments import ExperimentConfig, denoise_detailed
 from gsh_shrink.numerics import SeededRng, sample_normal
-from gsh_shrink.signals import FUNCTION_NAMES, sample_function, scale_to_snr
+from gsh_shrink.signals import sample_function, scale_to_snr
 
 
 def read_csv(path):
@@ -144,6 +147,16 @@ class TestDenoise:
         _, cols = read_csv(f"{out}_denoised.csv")
         assert cols["f_hat"].size == 500
 
+    def test_primary_level_checked_against_the_series(self, tmp_path):
+        # J0 = 9 needs n >= 1024; the simulation grid's default sizes start
+        # at 512 and must not be what a denoise run is checked against
+        path = tmp_path / "long.csv"
+        write_series(path, np.sin(np.arange(2048) / 25))
+        assert main(["denoise", str(path), "--primary-level", "9",
+                     "--out-prefix", str(tmp_path / "j9")]) == 0
+        assert main(["denoise", str(path), "--primary-level", "11",
+                     "--out-prefix", str(tmp_path / "j11")]) == 2
+
     def test_column_selection(self, tmp_path):
         path = tmp_path / "cols.csv"
         with open(path, "w", newline="") as fh:
@@ -216,6 +229,51 @@ class TestSimulate:
                      "--out-prefix", str(tmp_path / "bad")]) == 2
         assert "500" in capsys.readouterr().err
 
+    # a bad SNR, signal sd or filter used to pass validation and fail inside
+    # the first cell as a numerical failure (exit 3); the quadrature and the
+    # t range are constants, not config keys
+    @pytest.mark.parametrize("flags, config", [
+        (["--snr", "0"], None),
+        (["--snr=-3"], None),
+        (["--snr=nan"], None),
+        (["--snr", "3,inf"], None),
+        (["--signal-sd", "nan"], None),
+        (["--signal-sd", "0"], None),
+        (["--wavelet", "0"], None),
+        ([], {"vanishing_moments": 11}),
+        ([], {"snrs": [0.0]}),
+        ([], {"quad": {}}),
+        ([], {"elicitation": {"t_min": -3.0}}),
+        ([], [1]),
+        ([], "grid"),
+    ])
+    def test_invalid_values_exit_2_before_any_cell(self, tmp_path, capsys,
+                                                  flags, config):
+        args = self.ARGS + flags
+        if config is not None:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(config))
+            args = ["simulate", "--config", str(cfg_path)]
+        prefix = tmp_path / "new_dir" / "bad"
+        assert main(args + ["--out-prefix", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config:")
+        assert "numerical failure" not in err
+        assert not prefix.parent.exists()
+
+    def test_manifest_brackets_the_run(self, tmp_path, monkeypatch):
+        def slow_run_experiment(cfg, jobs):
+            time.sleep(0.2)
+            return []
+
+        monkeypatch.setattr(cli, "run_experiment", slow_run_experiment)
+        out = tmp_path / "slow"
+        assert main(self.ARGS + ["--out-prefix", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}_manifest.json").read_text())
+        elapsed = (datetime.fromisoformat(manifest["finished_at"])
+                   - datetime.fromisoformat(manifest["started_at"]))
+        assert elapsed.total_seconds() >= 0.2
+
 
 class TestRisk:
     def test_point_mass_rule_risk_is_theta_squared(self, tmp_path):
@@ -250,8 +308,9 @@ class TestRisk:
             c3["delta"].astype(float)[at6])
 
     def test_invalid_shape_exits_2(self, tmp_path):
-        assert main(["risk", "--t", "-4",
-                     "--out-prefix", str(tmp_path / "bad")]) == 2
+        prefix = tmp_path / "new_dir" / "bad"
+        assert main(["risk", "--t", "-4", "--out-prefix", str(prefix)]) == 2
+        assert not prefix.parent.exists()
 
 
 class TestPrior:
@@ -308,8 +367,10 @@ class TestSignal:
                                                                 abs=1e-9)
 
     def test_bad_n_exits_2(self, tmp_path):
+        prefix = tmp_path / "new_dir" / "bad"
         assert main(["signal", "--function", "bumps", "--n", "500",
-                     "--out-prefix", str(tmp_path / "bad")]) == 2
+                     "--out-prefix", str(prefix)]) == 2
+        assert not prefix.parent.exists()
 
 
 MANIFEST_KEYS = {"command", "argv", "config", "seed", "version", "started_at",
@@ -332,14 +393,41 @@ def test_manifest_keys_and_outputs(tmp_path, heavisine_series, command, args,
     if command == "denoise":
         args = [str(heavisine_series[0])]
     prefix = tmp_path / "new_dir" / "run"
-    assert main([command, *args, "--out-prefix", str(prefix)]) == 0
+    argv = [command, *args, "--out-prefix", str(prefix)]
+    assert main(argv) == 0
     manifest = json.loads(Path(f"{prefix}_manifest.json").read_text())
     assert set(manifest) == MANIFEST_KEYS
     assert manifest["command"] == command
+    assert manifest["argv"] == argv
     assert manifest["outputs"] == {kind: f"{prefix}_{suffix}"
                                    for kind, suffix in outputs.items()}
     for path in manifest["outputs"].values():
         assert Path(path).is_file()
+
+
+@pytest.mark.parametrize("argv, config, seed", [
+    (["risk", "--t", "3", "--mc-draws", "0", "--grid-points", "9"],
+     {"t": 3.0, "alpha": 0.9, "tau": 1.0, "sigma": 1.0, "grid_lo": -8.0,
+      "grid_hi": 8.0, "grid_points": 9, "mc_draws": 0}, 20260809),
+    (["prior", "--t", "1", "--points", "101"],
+     {"t": 1.0, "tau": 1.0, "points": 101}, None),
+    (["signal", "--function", "bumps", "--n", "64", "--snr", "7"],
+     {"function": "bumps", "n": 64, "snr": 7.0, "sigma": 1.0}, None),
+])
+def test_manifest_records_parsed_arguments(tmp_path, argv, config, seed):
+    assert main(argv + ["--out-prefix", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["config"] == config
+    assert manifest["seed"] == seed
+
+
+def test_simulate_manifest_has_no_constant_fields(tmp_path):
+    out = tmp_path / "sim"
+    assert main(TestSimulate.ARGS + ["--out-prefix", str(out)]) == 0
+    config = json.loads(Path(f"{out}_manifest.json").read_text())["config"]
+    assert "quad" not in config
+    assert set(config["elicitation"]) == {"gamma", "primary_level", "pool_levels"}
+    assert config["snrs"] == [3.0] and config["base_seed"] == 42
 
 
 def write_csv_with_csv_module(path, header, rows):
@@ -369,12 +457,9 @@ class TestCsvOutput:
     def test_denoise_files_match_csv_module_bytes(self, tmp_path, heavisine_series):
         path, _, y = heavisine_series
         out = tmp_path / "run"
-        argv = ["denoise", str(path), "--out-prefix", str(out)]
-        assert main(argv) == 0
-        cfg = _experiment_config(build_parser().parse_args(argv),
-                                 functions=FUNCTION_NAMES, sizes=(y.size,),
-                                 snrs=(3.0,), methods=("gsh",), replications=1)
-        result = denoise_detailed(y, "gsh", cfg)
+        assert main(["denoise", str(path), "--out-prefix", str(out)]) == 0
+        # the flags' defaults are the config's defaults
+        result = denoise_detailed(y, "gsh", ExperimentConfig())
         write_csv_with_csv_module(
             tmp_path / "denoised.csv", ["index", "y", "f_hat"],
             ((i, y[i], result.f_hat[i]) for i in range(y.size)))
@@ -393,6 +478,18 @@ def test_import_loads_no_scipy():
     # importing scipy.interpolate alone once took most of the start-up time
     code = ("import sys, gsh_shrink, gsh_shrink.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(gsh_shrink.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # only a pooled simulate run needs concurrent.futures and multiprocessing,
+    # and importing them took about a quarter of the CLI's start-up
+    code = ("import sys, gsh_shrink, gsh_shrink.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing')))")
     src = str(Path(gsh_shrink.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={"PYTHONPATH": src})

@@ -170,9 +170,3 @@ class TestConfigValidation:
     def test_bad_primary_level(self):
         with pytest.raises(ValueError):
             ElicitationConfig(primary_level=-1)
-
-    def test_bad_t_range(self):
-        with pytest.raises(ValueError):
-            ElicitationConfig(t_min=-4.0)
-        with pytest.raises(ValueError):
-            ElicitationConfig(t_min=2.0, t_max=1.0)

@@ -203,7 +203,7 @@ class TestRunExperiment:
         cfg = dataclasses.replace(FAST_CFG, snrs=(3.0, 5.0),
                                   methods=("universal_hard",))
         serial = run_experiment(cfg)
-        monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         assert run_experiment(cfg, jobs=8) == serial
         assert asked == [2]
 
