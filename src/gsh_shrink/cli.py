@@ -6,7 +6,8 @@ numerical failures.  ``main`` times every command and, once it has
 succeeded, writes a JSON run manifest next to its outputs; a command that
 fails writes nothing.  Rerunning a command with identical inputs reproduces
 the data files byte for byte (the manifest itself carries wall-clock
-timestamps).
+timestamps), and its ``argv`` replays the run.  Flags are the one way to
+configure a run; the pipeline flags default to ``ExperimentConfig()``.
 """
 from __future__ import annotations
 
@@ -35,6 +36,9 @@ from .signals import FUNCTION_NAMES, sample_function, scale_to_snr
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
+
+#: The config whose fields the pipeline flags default to.
+_DEFAULTS = ExperimentConfig()
 
 #: Noise-to-slab scale ratios sigma/tau over which the posterior-mean rule
 #: is checked; outside it the quadrature can miss the posterior entirely.
@@ -104,26 +108,12 @@ class _RunRecord:
     def finish(self) -> None:
         path = Path(f"{self.prefix}_manifest.json")
         with open(path, "w") as fh:
-            json.dump(dict(self.manifest, config=_json_ready(self.config),
-                           seed=self.seed, outputs=self.outputs,
-                           finished_at=_now()),
-                      fh, indent=2, sort_keys=True)
+            # a config holds flag values and config dataclasses, nothing else
+            json.dump(dict(self.manifest, config=self.config, seed=self.seed,
+                           outputs=self.outputs, finished_at=_now()),
+                      fh, indent=2, sort_keys=True, default=dataclasses.asdict)
             fh.write("\n")
         print(f"manifest: {path}")
-
-
-def _json_ready(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _json_ready(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +170,14 @@ def cmd_denoise(args, run: _RunRecord) -> None:
             )
 
     # sizes holds the one length the config checks the primary level against
-    cfg = ExperimentConfig(
-        sizes=(values.size,), vanishing_moments=args.wavelet,
-        elicitation=ElicitationConfig(gamma=args.gamma,
-                                      primary_level=args.primary_level,
-                                      pool_levels=not args.per_level_t))
+    pipeline = _pipeline_config(args)
+    cfg = ExperimentConfig(sizes=(values.size,), **pipeline)
     result = denoise_detailed(values, args.method, cfg)
     f_hat = result.f_hat[:n] if padded else result.f_hat
     series = values[:n] if padded else values
 
     run.config = {"input": args.input, "column": args.column,
-                  "method": args.method, "pad": args.pad, "length": int(n),
-                  "elicitation": cfg.elicitation,
-                  "vanishing_moments": cfg.vanishing_moments}
+                  "method": args.method, "pad": args.pad, "length": int(n), **pipeline}
     _write_csv(run.add("denoised", "denoised.csv"), ["index", "y", "f_hat"],
                (np.arange(n), series, f_hat))
 
@@ -226,34 +211,13 @@ def cmd_denoise(args, run: _RunRecord) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _split_list(text: str, conv) -> list:
-    return [conv(tok) for tok in text.split(",") if tok]
-
-
 def cmd_simulate(args, run: _RunRecord) -> None:
     try:
-        if args.config:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise TypeError("the file must hold one JSON object")
-        else:
-            raw = {"functions": _split_list(args.functions, str),
-                   "sizes": _split_list(args.n, int),
-                   "snrs": _split_list(args.snr, float),
-                   "methods": _split_list(args.methods, str),
-                   "replications": args.M, "base_seed": args.seed,
-                   "elicitation": {"gamma": args.gamma,
-                                   "primary_level": args.primary_level,
-                                   "pool_levels": not args.per_level_t},
-                   "vanishing_moments": args.wavelet,
-                   "signal_sd": args.signal_sd}
-        raw["elicitation"] = ElicitationConfig(**raw.get("elicitation", {}))
-        for key in ("functions", "sizes", "snrs", "methods"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        cfg = ExperimentConfig(**raw)
-    except (OSError, TypeError, ValueError) as exc:
+        cfg = ExperimentConfig(
+            functions=args.functions, sizes=args.n, snrs=args.snr,
+            methods=args.methods, replications=args.M, base_seed=args.seed,
+            signal_sd=args.signal_sd, **_pipeline_config(args))
+    except ValueError as exc:
         raise CliError(f"invalid experiment config: {exc}") from exc
 
     records = run_experiment(cfg, args.jobs or os.cpu_count() or 1)
@@ -297,6 +261,8 @@ def format_amse_table(records: list[AmseRecord], cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_risk(args, run: _RunRecord) -> None:
+    if args.mc_draws < 0:
+        raise CliError(f"--mc-draws must be >= 0, got {args.mc_draws}")
     try:
         prior = ShrinkagePrior(alpha=args.alpha, gsh=GshParams.make(args.tau, args.t))
         rule = ShrinkageRule(prior=prior, sigma=args.sigma, quad=PIPELINE_QUAD)
@@ -324,6 +290,8 @@ def cmd_risk(args, run: _RunRecord) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_prior(args, run: _RunRecord) -> None:
+    if args.points < 2:
+        raise CliError(f"--points must be >= 2, got {args.points}")
     try:
         params = GshParams.make(args.tau, args.t)
     except ValueError as exc:
@@ -358,15 +326,32 @@ def cmd_signal(args, run: _RunRecord) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
+def _comma_list(conv):
+    """An argparse ``type``: a comma-separated list as a tuple of ``conv``."""
+    def parse(text: str) -> tuple:
+        return tuple(conv(tok) for tok in text.split(",") if tok)
+    parse.__name__ = f"comma-separated {conv.__name__}"
+    return parse
+
+
 def _add_pipeline_flags(sp) -> None:
-    sp.add_argument("--wavelet", type=int, default=10, metavar="N",
-                    help="Daubechies vanishing moments (1..10, default 10)")
-    sp.add_argument("--primary-level", type=int, default=4, metavar="J0",
-                    help="coarsest shrunk resolution level (default 4)")
-    sp.add_argument("--gamma", type=float, default=2.0,
-                    help="spike-weight exponent (default 2)")
-    sp.add_argument("--per-level-t", action="store_true",
+    el = _DEFAULTS.elicitation
+    sp.add_argument("--wavelet", type=int, default=_DEFAULTS.vanishing_moments, metavar="N",
+                    help="Daubechies vanishing moments, 1..10 (default %(default)s)")
+    sp.add_argument("--primary-level", type=int, default=el.primary_level, metavar="J0",
+                    help="coarsest shrunk resolution level (default %(default)s)")
+    sp.add_argument("--gamma", type=float, default=el.gamma,
+                    help="spike-weight exponent (default %(default)s)")
+    sp.add_argument("--per-level-t", action="store_false", dest="pool_levels",
+                    default=el.pool_levels,
                     help="elicit the slab shape per level instead of pooled")
+
+
+def _pipeline_config(args) -> dict:
+    """The ``ExperimentConfig`` fields the four pipeline flags set."""
+    el = ElicitationConfig(gamma=args.gamma, primary_level=args.primary_level,
+                           pool_levels=args.pool_levels)
+    return {"vanishing_moments": args.wavelet, "elicitation": el}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,18 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_denoise)
 
     s = sub.add_parser("simulate", help="run the simulation grid")
-    s.add_argument("--config", default=None,
-                   help="JSON file with ExperimentConfig fields (overrides flags)")
-    s.add_argument("--functions", default=",".join(FUNCTION_NAMES),
+    s.add_argument("--functions", type=_comma_list(str),
+                   default=_DEFAULTS.functions,
                    help="comma-separated test functions")
-    s.add_argument("--n", default="512,1024,2048",
+    s.add_argument("--n", type=_comma_list(int), default=_DEFAULTS.sizes,
                    help="comma-separated sample sizes (powers of two)")
-    s.add_argument("--snr", default="3,5,7", help="comma-separated SNR levels")
-    s.add_argument("--methods", default="gsh,universal_soft",
+    s.add_argument("--snr", type=_comma_list(float), default=_DEFAULTS.snrs,
+                   help="comma-separated SNR levels")
+    s.add_argument("--methods", type=_comma_list(str), default=_DEFAULTS.methods,
                    help=f"comma-separated methods from {METHODS}")
-    s.add_argument("--M", type=int, default=20, help="replications per cell")
-    s.add_argument("--seed", type=int, default=20260809)
-    s.add_argument("--signal-sd", type=float, default=7.0,
+    s.add_argument("--M", type=int, default=_DEFAULTS.replications,
+                   help="replications per cell")
+    s.add_argument("--seed", type=int, default=_DEFAULTS.base_seed)
+    s.add_argument("--signal-sd", type=float, default=_DEFAULTS.signal_sd,
                    help="fixed signal sd; noise sigma = signal_sd/snr")
     s.add_argument("--jobs", type=int, default=0,
                    help="worker processes, at most one per cell "
@@ -420,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--grid-points", type=int, default=321)
     r.add_argument("--mc-draws", type=int, default=10000,
                    help="Monte Carlo cross-check draws (0 disables)")
-    r.add_argument("--seed", type=int, default=20260809)
+    r.add_argument("--seed", type=int, default=_DEFAULTS.base_seed)
     r.add_argument("--out-prefix", default="risk", metavar="PREFIX")
     r.set_defaults(func=cmd_risk)
 

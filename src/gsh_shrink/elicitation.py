@@ -50,8 +50,8 @@ class ElicitationConfig:
     t_max: ClassVar[float] = 50.0
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+        if not (np.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.primary_level < 0:
             raise ValueError("primary_level must be >= 0")
 
@@ -100,7 +100,7 @@ def sample_kurtosis(coeffs) -> float:
     return float(m4 / m2**2)
 
 
-def elicit_t(beta_hat: float, cfg: ElicitationConfig = ElicitationConfig()) -> float:
+def elicit_t(beta_hat: float) -> float:
     """Invert the kurtosis map at the sample kurtosis, clamped to [t_min, t_max].
 
     beta_hat >= 4.2 maps to the negative branch, beta_hat < 4.2 to the
@@ -110,7 +110,7 @@ def elicit_t(beta_hat: float, cfg: ElicitationConfig = ElicitationConfig()) -> f
     if not np.isfinite(beta_hat):
         raise ValueError(f"kurtosis estimate must be finite, got {beta_hat!r}")
     if beta_hat <= KURTOSIS_FLOOR + 1e-6:
-        return cfg.t_max
+        return ElicitationConfig.t_max
     num = 5.0 * beta_hat - 21.0
     den = 5.0 * beta_hat - 9.0
     if abs(num) < 1e-12:
@@ -119,7 +119,7 @@ def elicit_t(beta_hat: float, cfg: ElicitationConfig = ElicitationConfig()) -> f
         t = -np.pi * np.sqrt(num / den)
     else:
         t = np.pi * np.sqrt(-num / den)
-    return float(np.clip(t, cfg.t_min, cfg.t_max))
+    return float(np.clip(t, ElicitationConfig.t_min, ElicitationConfig.t_max))
 
 
 def elicit_all(decomp: WaveletDecomposition,
@@ -139,7 +139,7 @@ def elicit_all(decomp: WaveletDecomposition,
         )
     sigma_hat = estimate_sigma(decomp.finest_detail)
     pooled = np.concatenate([decomp.details[j] for j in levels])
-    t_pooled = elicit_t(sample_kurtosis(pooled), cfg)
+    t_pooled = elicit_t(sample_kurtosis(pooled))
 
     t_by_level: dict[int, float] = {}
     for j in levels:
@@ -147,7 +147,7 @@ def elicit_all(decomp: WaveletDecomposition,
             t_by_level[j] = t_pooled
         else:
             try:
-                t_by_level[j] = elicit_t(sample_kurtosis(decomp.details[j]), cfg)
+                t_by_level[j] = elicit_t(sample_kurtosis(decomp.details[j]))
             except DegenerateInputError:
                 t_by_level[j] = t_pooled
 

@@ -81,6 +81,9 @@ def risk_curve(grid, rule: ShrinkageRule) -> RiskCurve:
 
 def default_risk_grid(lo: float = -8.0, hi: float = 8.0,
                       points: int = 321) -> np.ndarray:
+    if not (np.isfinite(lo) and np.isfinite(hi) and points >= 2):
+        raise ValueError("a risk grid needs finite bounds and at least 2 points, "
+                         f"got [{lo}, {hi}] and {points}")
     return np.linspace(lo, hi, points)
 
 

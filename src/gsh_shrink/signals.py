@@ -71,8 +71,8 @@ def sample_function(name: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def scale_to_snr(f, snr: float, sigma: float) -> np.ndarray:
     """Rescale a signal so that sd(f)/sigma = snr, with 1/n-normalised sd."""
-    if snr <= 0 or sigma <= 0:
-        raise ValueError("snr and sigma must be positive")
+    if not (np.isfinite(snr) and np.isfinite(sigma) and snr > 0 and sigma > 0):
+        raise ValueError(f"snr and sigma must be finite and > 0, got {snr} and {sigma}")
     f = np.asarray(f, dtype=float)
     sd = float(np.std(f))
     if sd == 0.0:

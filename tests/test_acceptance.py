@@ -92,9 +92,8 @@ def test_criterion_1_prior_normalization():
 
 def test_criterion_2_kurtosis_round_trip_and_sampling():
     failures = []
-    cfg = ElicitationConfig()
     for t in (-2.0, -1.0, 0.5, 1.0, 3.0):
-        back = elicit_t(gsh_kurtosis(t), cfg)
+        back = elicit_t(gsh_kurtosis(t))
         if abs(back - t) > 1e-9:
             failures.append(f"round trip t={t}: got {back!r}")
     kurt_errs = []
@@ -393,12 +392,12 @@ def test_criterion_8_elicitation_exactness():
     sigma = estimate_sigma([1.3, -1.3, 1.3, -1.3])
     if abs(sigma - 1.3 / 0.6745) > 1e-12:
         failures.append(f"sigma of constant-magnitude vector: {sigma!r}")
-    if elicit_t(4.2, cfg) != 0.0:
-        failures.append(f"elicit_t(4.2) = {elicit_t(4.2, cfg)!r}")
-    if abs(elicit_t(5.0, cfg) + math.pi / 2) > 1e-12:
-        failures.append(f"elicit_t(5) = {elicit_t(5.0, cfg)!r}")
-    if abs(elicit_t(3.0, cfg) - math.pi) > 1e-12:
-        failures.append(f"elicit_t(3) = {elicit_t(3.0, cfg)!r}")
+    if elicit_t(4.2) != 0.0:
+        failures.append(f"elicit_t(4.2) = {elicit_t(4.2)!r}")
+    if abs(elicit_t(5.0) + math.pi / 2) > 1e-12:
+        failures.append(f"elicit_t(5) = {elicit_t(5.0)!r}")
+    if abs(elicit_t(3.0) - math.pi) > 1e-12:
+        failures.append(f"elicit_t(3) = {elicit_t(3.0)!r}")
     report("criterion 8: elicitation exactness", failures)
 
 

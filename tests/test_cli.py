@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import gsh_shrink
 from gsh_shrink import cli
 from gsh_shrink.cli import _fmt, _write_csv, main
+from gsh_shrink.elicitation import ElicitationConfig
 from gsh_shrink.experiments import ExperimentConfig, denoise_detailed
 from gsh_shrink.numerics import SeededRng, sample_normal
 from gsh_shrink.signals import sample_function, scale_to_snr
@@ -200,21 +202,32 @@ class TestSimulate:
         assert (Path(f"{serial}_amse.csv").read_bytes()
                 == Path(f"{parallel}_amse.csv").read_bytes())
 
-    def test_config_file(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "functions": ["blocks"], "sizes": [512], "snrs": [5.0],
-            "methods": ["universal_soft"], "replications": 1,
-            "base_seed": 11,
-            "elicitation": {"gamma": 1.5, "primary_level": 3},
-        }))
-        out = tmp_path / "cfg_run"
-        assert main(["simulate", "--config", str(cfg_path),
-                     "--out-prefix", str(out)]) == 0
-        _, cols = read_csv(f"{out}_amse.csv")
-        assert list(cols["function"]) == ["blocks"]
+    def test_flags_set_every_config_field(self, tmp_path):
+        cfg = ExperimentConfig(
+            functions=("blocks",), sizes=(64,), snrs=(4.0,), replications=1,
+            methods=("gsh",), base_seed=11, vanishing_moments=4, signal_sd=3.0,
+            elicitation=ElicitationConfig(gamma=1.5, primary_level=3,
+                                          pool_levels=False))
+        for config, default in ((cfg, ExperimentConfig()),
+                                (cfg.elicitation, ElicitationConfig())):
+            for field in dataclasses.fields(config):
+                assert getattr(config, field.name) != getattr(default, field.name)
+        out = tmp_path / "flags"
+        assert main(["simulate", "--functions", "blocks", "--n", "64", "--snr", "4",
+                     "--M", "1", "--methods", "gsh", "--seed", "11", "--wavelet", "4",
+                     "--signal-sd", "3", "--gamma", "1.5", "--primary-level", "3",
+                     "--per-level-t", "--jobs", "1", "--out-prefix", str(out)]) == 0
         manifest = json.loads(Path(f"{out}_manifest.json").read_text())
-        assert manifest["config"]["elicitation"]["gamma"] == 1.5
+        assert manifest["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
+
+    @pytest.mark.parametrize("flags", [["--config", "cfg.json"], ["--n", "512,5x"],
+                                       ["--snr", "3,high"]])
+    def test_parser_refuses(self, tmp_path, flags):
+        prefix = tmp_path / "new_dir" / "bad"
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + flags + ["--out-prefix", str(prefix)])
+        assert exc.value.code == 2
+        assert not prefix.parent.exists()
 
     def test_negative_jobs_exits_2(self, tmp_path, capsys):
         args = [a if a != "1" else "-1" for a in self.ARGS]
@@ -222,17 +235,9 @@ class TestSimulate:
         assert "jobs" in capsys.readouterr().err
         assert not Path(f"{tmp_path / 'neg'}_amse.csv").exists()
 
-    def test_invalid_config_exits_2(self, tmp_path, capsys):
-        cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"sizes": [500]}))
-        assert main(["simulate", "--config", str(cfg_path),
-                     "--out-prefix", str(tmp_path / "bad")]) == 2
-        assert "500" in capsys.readouterr().err
-
-    # a bad SNR, signal sd or filter used to pass validation and fail inside
-    # the first cell as a numerical failure (exit 3); the quadrature and the
-    # t range are constants, not config keys
-    @pytest.mark.parametrize("flags, config", [
+    # each bad value exits 2 before any cell runs, not as a numerical failure
+    # (exit 3) inside the first cell; ``named`` is a value the message names
+    @pytest.mark.parametrize("flags, named", [
         (["--snr", "0"], None),
         (["--snr=-3"], None),
         (["--snr=nan"], None),
@@ -240,24 +245,17 @@ class TestSimulate:
         (["--signal-sd", "nan"], None),
         (["--signal-sd", "0"], None),
         (["--wavelet", "0"], None),
-        ([], {"vanishing_moments": 11}),
-        ([], {"snrs": [0.0]}),
-        ([], {"quad": {}}),
-        ([], {"elicitation": {"t_min": -3.0}}),
-        ([], [1]),
-        ([], "grid"),
+        (["--wavelet", "11"], "11"),
+        (["--gamma", "nan"], "gamma"),
+        (["--n", "500"], "500"),
     ])
     def test_invalid_values_exit_2_before_any_cell(self, tmp_path, capsys,
-                                                  flags, config):
-        args = self.ARGS + flags
-        if config is not None:
-            cfg_path = tmp_path / "cfg.json"
-            cfg_path.write_text(json.dumps(config))
-            args = ["simulate", "--config", str(cfg_path)]
+                                                  flags, named):
         prefix = tmp_path / "new_dir" / "bad"
-        assert main(args + ["--out-prefix", str(prefix)]) == 2
+        assert main(self.ARGS + flags + ["--out-prefix", str(prefix)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: invalid experiment config:")
+        assert named is None or named in err
         assert "numerical failure" not in err
         assert not prefix.parent.exists()
 
@@ -309,8 +307,12 @@ class TestRisk:
 
     def test_invalid_shape_exits_2(self, tmp_path):
         prefix = tmp_path / "new_dir" / "bad"
-        assert main(["risk", "--t", "-4", "--out-prefix", str(prefix)]) == 2
-        assert not prefix.parent.exists()
+        # an unusable shape, grid or draw count; --mc-draws 0 disables the check
+        for bad in (["--t", "-4"], ["--t", "3", "--grid-points", "1"],
+                    ["--t", "3", "--grid-lo", "nan"], ["--t", "3", "--grid-hi", "inf"],
+                    ["--t", "3", "--mc-draws", "-5"]):
+            assert main(["risk", *bad, "--out-prefix", str(prefix)]) == 2
+            assert not prefix.parent.exists()
 
 
 class TestPrior:
@@ -343,8 +345,12 @@ class TestPrior:
         assert float(line.split()[1]) == pytest.approx(5.0, abs=1e-6)
 
     def test_invalid_shape_exits_2(self, tmp_path):
-        assert main(["prior", "--t", "-3.15",
-                     "--out-prefix", str(tmp_path / "bad")]) == 2
+        prefix = tmp_path / "new_dir" / "bad"
+        # an unusable shape or point count
+        for bad in (["--t", "-3.15"], ["--t", "1", "--points", "0"],
+                    ["--t", "1", "--points", "1"]):
+            assert main(["prior", *bad, "--out-prefix", str(prefix)]) == 2
+            assert not prefix.parent.exists()
 
 
 class TestSignal:
@@ -369,6 +375,14 @@ class TestSignal:
     def test_bad_n_exits_2(self, tmp_path):
         prefix = tmp_path / "new_dir" / "bad"
         assert main(["signal", "--function", "bumps", "--n", "500",
+                     "--out-prefix", str(prefix)]) == 2
+        assert not prefix.parent.exists()
+
+    @pytest.mark.parametrize("flags", [["--snr", "nan"], ["--snr", "inf"],
+                                       ["--snr", "7", "--sigma", "nan"]])
+    def test_non_finite_scale_exits_2(self, tmp_path, flags):
+        prefix = tmp_path / "new_dir" / "bad"
+        assert main(["signal", "--function", "bumps", "--n", "64", *flags,
                      "--out-prefix", str(prefix)]) == 2
         assert not prefix.parent.exists()
 
@@ -419,6 +433,19 @@ def test_manifest_records_parsed_arguments(tmp_path, argv, config, seed):
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["config"] == config
     assert manifest["seed"] == seed
+
+
+def test_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch, heavisine_series):
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, jobs: [])
+    sim, den = tmp_path / "sim", tmp_path / "den"
+    assert main(["simulate", "--out-prefix", str(sim)]) == 0
+    assert main(["denoise", str(heavisine_series[0]), "--out-prefix", str(den)]) == 0
+    sim_config = json.loads(Path(f"{sim}_manifest.json").read_text())["config"]
+    den_config = json.loads(Path(f"{den}_manifest.json").read_text())["config"]
+    defaults = json.loads(json.dumps(dataclasses.asdict(ExperimentConfig())))
+    assert sim_config == defaults
+    for key in ("elicitation", "vanishing_moments"):
+        assert den_config[key] == defaults[key]
 
 
 def test_simulate_manifest_has_no_constant_fields(tmp_path):

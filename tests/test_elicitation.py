@@ -96,30 +96,30 @@ class TestSampleKurtosis:
 
 class TestElicitT:
     def test_logistic_point_exact(self):
-        assert elicit_t(4.2, CFG) == 0.0
+        assert elicit_t(4.2) == 0.0
 
     def test_hand_values(self):
-        assert elicit_t(5.0, CFG) == pytest.approx(-math.pi / 2, abs=1e-14)
-        assert elicit_t(3.0, CFG) == pytest.approx(math.pi, abs=1e-14)
+        assert elicit_t(5.0) == pytest.approx(-math.pi / 2, abs=1e-14)
+        assert elicit_t(3.0) == pytest.approx(math.pi, abs=1e-14)
 
     @pytest.mark.parametrize("t", [-2.0, -1.0, 0.5, 1.0, 3.0])
     def test_round_trip(self, t):
-        assert elicit_t(gsh_kurtosis(t), CFG) == pytest.approx(t, abs=1e-9)
+        assert elicit_t(gsh_kurtosis(t)) == pytest.approx(t, abs=1e-9)
 
     def test_pole_guard(self):
-        assert elicit_t(9.0 / 5.0, CFG) == CFG.t_max
-        assert elicit_t(1.0, CFG) == CFG.t_max
-        assert elicit_t(1.8 + 1e-7, CFG) == CFG.t_max
+        assert elicit_t(9.0 / 5.0) == CFG.t_max
+        assert elicit_t(1.0) == CFG.t_max
+        assert elicit_t(1.8 + 1e-7) == CFG.t_max
 
     def test_clamped_to_range(self):
         # enormous kurtosis maps just above -pi, below the configured floor
-        assert elicit_t(1e12, CFG) == CFG.t_min
+        assert elicit_t(1e12) == CFG.t_min
         # slightly platykurtic values map to huge positive t, then clamp
-        assert elicit_t(1.805, CFG) == CFG.t_max
+        assert elicit_t(1.805) == CFG.t_max
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            elicit_t(float("nan"), CFG)
+            elicit_t(float("nan"))
 
 
 class TestElicitAll:
@@ -164,8 +164,9 @@ class TestElicitAll:
 
 class TestConfigValidation:
     def test_bad_gamma(self):
-        with pytest.raises(ValueError):
-            ElicitationConfig(gamma=0.0)
+        for gamma in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="gamma"):
+                ElicitationConfig(gamma=gamma)
 
     def test_bad_primary_level(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,9 @@ class TestScaleToSnr:
             scale_to_snr(np.arange(4.0), 0.0, 1.0)
         with pytest.raises(ValueError):
             scale_to_snr(np.arange(4.0), 3.0, 0.0)
+        for snr, sigma in ((float("nan"), 1.0), (float("inf"), 1.0), (7.0, float("nan"))):
+            with pytest.raises(ValueError, match="finite"):
+                scale_to_snr(np.arange(4.0), snr, sigma)
 
 
 class TestMakeNoisySample:
