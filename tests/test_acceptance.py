@@ -2,21 +2,26 @@
 line.
 
 Every check asserts what the posterior-mean rule provably delivers at the
-stated settings, with bounds tight enough to fail on a wrong rule.  Three
-criteria assert derived properties where a literal reading asks for a number
-the method cannot produce:
+stated settings, with bounds tight enough to fail on a wrong rule.  The
+oracle is ``perfbench/refs.py`` (``refs``), the benchmark's independent
+reference, which imports nothing from ``gsh_shrink``.  Three criteria assert
+derived properties where a literal reading asks for a number the method
+cannot produce:
 
-- criterion 4 under 64-node Gauss-Hermite: 1e-6 oracle agreement where the
-  slab density's poles lie at least one noise standard deviation from the
-  real axis, and strict convergence to the oracle with the node count where
+- criterion 4 under 64-node Gauss-Hermite: 1e-6 agreement with
+  ``refs.posterior_mean`` where the slab density's poles
+  (``refs.pole_distance``) lie at least one noise standard deviation from
+  the real axis, and strict convergence to it with the node count where
   they lie closer (t = -3, t = 10);
 - criterion 5: for t = 3 the classical risk rises to its Tweedie plateau
-  instead of peaking in (3, 4), so the rise, the plateau and oracle values
-  are asserted; the peak is asserted for t = -3;
+  instead of peaking in (3, 4), so the rise, the plateau and values from an
+  outer integral of ``refs.posterior_mean`` are asserted; the peak is
+  asserted for t = -3;
 - criterion 6b: most reference Bayes risks exceed the Bayes-rule cap
   (1 - alpha) tau^2, so the quadrature is asserted against that cap and
-  against the identity r = (1 - alpha) tau^2 - E[delta^2] computed from the
-  oracle, and each reference entry is printed with its gap.
+  against the identity r = (1 - alpha) tau^2 - E[delta^2] computed by
+  ``refs.bayes_risk_identity``, and each reference entry is printed with its
+  gap.
 
 Reference AMSE values (criterion 7) are externally reported results for this
 estimator family; their tolerance band is applied as-is and every residual
@@ -27,8 +32,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import (gsh_pole_distance, oracle_bayes_risk,
-                      oracle_classical_risk, oracle_posterior_mean)
+from conftest import oracle_classical_risk, refs
 from gsh_shrink.cli import main
 from gsh_shrink.dwt import daubechies_filter, forward, inverse
 from gsh_shrink.elicitation import (ElicitationConfig, alpha_level, elicit_t,
@@ -149,7 +153,7 @@ def _oracle_errors(t: float, quad) -> np.ndarray:
     d = np.array(D_GRID)
     return np.array([
         np.abs(shrink_array(d, make_rule(alpha=alpha, t=t, quad=quad))
-               - oracle_posterior_mean(d, alpha, 1.0, t, 1.0))
+               - refs.posterior_mean(d, alpha, 1.0, 1.0, t))
         for alpha in ALPHA_GRID])
 
 
@@ -201,7 +205,7 @@ def test_criterion_4_rule_correctness_gauss_hermite_64():
     detail = []
     for t in T_GRID:
         rule = make_rule(t=t, quad=GH64)
-        if gsh_pole_distance(rule.prior.gsh) / rule.sigma >= 1.0:
+        if refs.pole_distance(rule.prior.gsh.tau, t) / rule.sigma >= 1.0:
             shape_failures, worst = _rule_vs_oracle(GH64, (t,))
             failures += shape_failures
             detail.append(f"t={t}: 64 nodes {worst:.1e}")
@@ -321,7 +325,7 @@ def test_criterion_6_bayes_risk_reference_tables():
         tau, sigma = rule.prior.gsh.tau, rule.sigma
         if (t, alpha) not in computed:
             computed[(t, alpha)] = (bayes_risk(rule, QUADRATURE).value,
-                                    oracle_bayes_risk(alpha, tau, t, sigma))
+                                    refs.bayes_risk_identity(alpha, sigma, tau, t))
         value, identity = computed[(t, alpha)]
         cap = min((1.0 - alpha) * tau**2, sigma**2)
         print(f"    t={t:5} alpha={alpha:4}: quadrature {value:.4f}  "

@@ -171,6 +171,21 @@ class TestDenoise:
         assert main(["denoise", str(path), "--column", "missing",
                      "--out-prefix", str(tmp_path / "w")]) == 2
 
+    def test_trailing_blank_line_is_ignored(self, tmp_path):
+        # csv.reader yields an empty row for a blank last line; it must be
+        # skipped, not parsed as a row without a value column
+        rng = np.random.default_rng(64)
+        plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+        write_series(plain, 50.0 + np.cumsum(rng.normal(size=64)),
+                     header=("date", "close"))
+        blank.write_bytes(plain.read_bytes() + b"\r\n")
+        for path in (plain, blank):
+            assert main(["denoise", str(path), "--column", "close",
+                         "--out-prefix", str(tmp_path / path.stem)]) == 0
+        for suffix in ("_denoised.csv", "_coefficients.csv"):
+            assert (Path(f"{tmp_path / 'plain'}{suffix}").read_bytes()
+                    == Path(f"{tmp_path / 'blank'}{suffix}").read_bytes())
+
 
 class TestSimulate:
     ARGS = ["simulate", "--functions", "heavisine", "--n", "512", "--snr", "3",

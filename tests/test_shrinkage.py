@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_posterior_mean
+import gsh_shrink
+from conftest import refs
 from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
 from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
                                  TRAPEZOID_ORACLE, gaussian_quad_nodes)
@@ -57,11 +62,23 @@ class TestBasics:
         # log-space shifted form once cosh could overflow; the two paths
         # must agree with the oracle on either side of the switch
         rule = make_rule(t=10.0)  # switch near |d| =~ 87
-        for d in (80.0, 85.0, 90.0, 95.0):
-            assert shrink(d, rule) == pytest.approx(
-                oracle_posterior_mean(d, 0.9, 1.0, 10.0, 1.0), abs=1e-6)
+        d = np.array([80.0, 85.0, 90.0, 95.0])
+        assert [shrink(x, rule) for x in d] == pytest.approx(
+            refs.posterior_mean(d, 0.9, 1.0, 1.0, 10.0), abs=1e-6)
         grid = np.linspace(70.0, 110.0, 401)
         assert np.all(np.diff(shrink_array(grid, rule)) > 0)
+
+
+def test_oracle_loads_no_gsh_shrink():
+    # the oracle must share no code with the rule it checks, or a fault in
+    # the rule could hide in its own reference
+    code = ("import sys, refs; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gsh_shrink'))")
+    path = os.pathsep.join([str(Path(refs.__file__).parent),
+                            str(Path(gsh_shrink.__file__).resolve().parents[1])])
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={"PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 class TestOracleAgreement:
@@ -69,25 +86,25 @@ class TestOracleAgreement:
         # d=3, sigma=1, tau=1, alpha=0.9, t=3: the 64-node rule has
         # converged here and must match the direct posterior integral
         rule = make_rule(quad=GH64)
-        oracle = oracle_posterior_mean(3.0, 0.9, 1.0, 3.0, 1.0)
+        oracle = refs.posterior_mean(3.0, 0.9, 1.0, 1.0, 3.0)[0]
         assert shrink(3.0, rule) == pytest.approx(oracle, abs=1e-6)
 
     @pytest.mark.parametrize("t", [-3.0, 0.1, 3.0, 10.0])
     @pytest.mark.parametrize("alpha", [0.6, 0.99])
     def test_default_quadrature_matches_oracle(self, t, alpha):
         rule = make_rule(alpha=alpha, t=t)
-        for d in (0.5, 1.0, 3.0, 6.0, 10.0):
-            oracle = oracle_posterior_mean(d, alpha, 1.0, t, 1.0)
-            assert shrink(d, rule) == pytest.approx(oracle, abs=1e-6)
+        d = np.array([0.5, 1.0, 3.0, 6.0, 10.0])
+        assert [shrink(x, rule) for x in d] == pytest.approx(
+            refs.posterior_mean(d, alpha, 1.0, 1.0, t), abs=1e-6)
 
     def test_alpha_zero_pure_slab(self):
         rule = make_rule(alpha=0.0)
-        oracle = oracle_posterior_mean(2.0, 0.0, 1.0, 3.0, 1.0)
+        oracle = refs.posterior_mean(2.0, 0.0, 1.0, 1.0, 3.0)[0]
         assert shrink(2.0, rule) == pytest.approx(oracle, abs=1e-8)
 
     def test_nonunit_sigma(self):
         rule = make_rule(sigma=2.5)
-        oracle = oracle_posterior_mean(4.0, 0.9, 1.0, 3.0, 2.5)
+        oracle = refs.posterior_mean(4.0, 0.9, 2.5, 1.0, 3.0)[0]
         assert shrink(4.0, rule) == pytest.approx(oracle, abs=1e-6)
 
 
@@ -117,8 +134,8 @@ class TestShapeProperties:
         # at d = 6 the near-uniform slab (t=10) shrinks far more than the
         # heavy slab (t=-3); verified against the oracle before asserting
         # on the implementation
-        o_heavy = oracle_posterior_mean(6.0, 0.9, 1.0, -3.0, 1.0)
-        o_light = oracle_posterior_mean(6.0, 0.9, 1.0, 10.0, 1.0)
+        o_heavy = refs.posterior_mean(6.0, 0.9, 1.0, 1.0, -3.0)[0]
+        o_light = refs.posterior_mean(6.0, 0.9, 1.0, 1.0, 10.0)[0]
         assert o_light < o_heavy
         got_heavy = shrink(6.0, make_rule(t=-3.0))
         got_light = shrink(6.0, make_rule(t=10.0))
