@@ -124,24 +124,30 @@ def _read_series(path: str, column: str | None) -> np.ndarray:
     """One numeric column from a headed CSV; extra index/date columns are ignored."""
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            reader = csv.reader(fh)
+            # (1-based line of the file, row); blank lines are skipped
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
         raise CliError(f"{path}: need a header row and at least one data row")
-    header, data = rows[0], rows[1:]
+    header, data = rows[0][1], rows[1:]
     if column is not None:
         if column not in header:
             raise CliError(f"{path}: no column named {column!r} in {header}")
         idx = header.index(column)
     else:
         idx = len(header) - 1
-    try:
-        values = np.array([float(r[idx]) for r in data])
-    except (ValueError, IndexError) as exc:
-        raise CliError(
-            f"{path}: column {header[idx]!r} does not parse as numbers: {exc}"
-        ) from exc
+    cells = []
+    for line, row in data:
+        cell = row[idx] if idx < len(row) else None
+        try:
+            cells.append(float(cell))
+        except (TypeError, ValueError):
+            what = ("is missing" if cell is None else "is empty" if not cell.strip()
+                    else f"does not parse as a number: {cell!r}")
+            raise CliError(f"{path}: line {line}: column {header[idx]!r} {what}") from None
+    values = np.array(cells)
     if not np.all(np.isfinite(values)):
         raise CliError(f"{path}: column {header[idx]!r} contains non-finite values")
     return values

@@ -186,6 +186,25 @@ class TestDenoise:
             assert (Path(f"{tmp_path / 'plain'}{suffix}").read_bytes()
                     == Path(f"{tmp_path / 'blank'}{suffix}").read_bytes())
 
+    @pytest.mark.parametrize("bad_row, says", [
+        ("2020-02-01", "is missing"),
+        ("2020-02-01,", "is empty"),
+        ("2020-02-01,n/a", "'n/a'"),
+    ], ids=["short-row", "empty-cell", "not-a-number"])
+    def test_bad_cell_names_its_line_and_column(self, tmp_path, capsys, bad_row, says):
+        # the blank line 10 is skipped but counted: line numbers are the
+        # file's, so the bad row is line 11
+        rows = [f"2020-01-{i:02d},{50.0 + i}" for i in range(1, 64)]
+        text = "\n".join(["date,close", *rows[:8], "", bad_row, *rows[8:]]) + "\n"
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["denoise", str(path), "--column", "close",
+                     "--out-prefix", str(tmp_path / "bad")]) == 2
+        err = capsys.readouterr().err
+        assert "line 11" in err
+        assert "'close'" in err
+        assert says in err
+
 
 class TestSimulate:
     ARGS = ["simulate", "--functions", "heavisine", "--n", "512", "--snr", "3",

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from conftest import refs
 from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
 from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
                                  TRAPEZOID_ORACLE, gaussian_quad_nodes)
-from gsh_shrink.shrinkage import ShrinkageRule, shrink, shrink_array
+from gsh_shrink.shrinkage import (_TABLE_NODES, _Z_DIRECT, ShrinkageRule, shrink,
+                                  shrink_array)
 
 GH64 = QuadratureSpec(node_count=64)
 
@@ -247,3 +249,105 @@ class TestCoshFormReference:
                 assert got.shape == d.shape
                 np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-8 * sigma,
                                            err_msg=f"sigma/tau={ratio} alpha={alpha}")
+
+
+def direct_shrink(d, rule):
+    """shrink_array over pieces of at most _TABLE_NODES coefficients: no
+    panel then holds more coefficients than a table has nodes, so every
+    coefficient is evaluated directly."""
+    flat = np.ravel(d)
+    return np.concatenate([shrink_array(flat[i:i + _TABLE_NODES], rule)
+                           for i in range(0, flat.size, _TABLE_NODES)]).reshape(np.shape(d))
+
+
+class TestPanelTables:
+    """Chebyshev tables per pole-width panel against the direct evaluation
+    they stand in for, on inputs dense enough for tables to be built."""
+
+    SIGMA = 1.5
+    #: mean coefficients per panel: a panel needs more than _TABLE_NODES
+    PER_PANEL = 40
+    MOST = 20_000
+    T_BOX = [-np.pi + 1e-3, -3.0, 0.0, 3.0, 10.0, 50.0]
+
+    def dense_input(self, rule, seed):
+        """Uniform |d| <= 8 sigma, PER_PANEL a pole-width panel on average
+        (at most MOST), then TestCoshFormReference's sinh grid out to 100 sigma."""
+        p = rule.prior.gsh
+        rho = refs.pole_distance(p.tau, p.t)
+        n = min(self.MOST, int(self.PER_PANEL * 8.0 * rule.sigma / rho) + 1)
+        uniform = np.random.default_rng(seed).uniform(-8.0, 8.0, n)
+        return rule.sigma * np.concatenate([uniform, TestCoshFormReference.D_UNIT.ravel()])
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
+    @pytest.mark.parametrize("t", T_BOX)
+    def test_matches_direct_evaluation(self, t, quad):
+        reach = np.abs(gaussian_quad_nodes(quad)[0]).max()
+        for ratio in (0.1, 1.0, 10.0):
+            for alpha in (0.0, 0.9):
+                rule = make_rule(alpha=alpha, tau=self.SIGMA / ratio, t=t,
+                                 sigma=self.SIGMA, quad=quad)
+                p = rule.prior.gsh
+                if p.c2 / p.tau * self.SIGMA * reach >= _Z_DIRECT:
+                    # every coefficient takes the log-space branch: no tables
+                    continue
+                d = self.dense_input(rule, seed=round(10 * ratio))
+                got, ref = shrink_array(d, rule), direct_shrink(d, rule)
+                case = f"sigma/tau={ratio} alpha={alpha}"
+                np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9 * self.SIGMA,
+                                           err_msg=case)
+                if d.size < self.MOST:
+                    # PER_PANEL a panel: tables were built, and a table's
+                    # value differs from the direct sum in the last bits
+                    assert not np.array_equal(got, ref), case
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
+                             ids=["pipeline", "dense", "gh64"])
+    @pytest.mark.parametrize("t", [-np.pi + 1e-3, 0.0, 10.0])
+    def test_odd_bit_for_bit(self, t, quad):
+        rule = make_rule(alpha=0.9, tau=self.SIGMA, t=t, sigma=self.SIGMA, quad=quad)
+        d = self.dense_input(rule, seed=2)
+        assert np.array_equal(shrink_array(-d, rule), -shrink_array(d, rule))
+
+    def test_sign_defects_are_kept(self):
+        # where the quadrature itself returns the wrong sign, the kernel must
+        # return that value, not hide it by giving delta the sign of d.
+        # 64-node Gauss-Hermite at sigma/tau = 10, t = 0, alpha = 0 gives
+        # -0.082 at d = 0.1, where the posterior mean is +0.00098
+        gh = make_rule(alpha=0.0, tau=0.1, t=0.0, sigma=1.0, quad=GH64)
+        d = np.concatenate([[0.1], self.dense_input(gh, seed=3)])
+        assert shrink_array(d, gh)[0] == pytest.approx(
+            cosh_form_shrink(np.array([0.1]), gh)[0], abs=1e-9)
+        assert shrink_array(d, gh)[0] < -0.08
+        # the 513-node trapezoid at the t clamp turns 35 coefficients of
+        # 0.02 < |d| < 0.08 the wrong way; the tables keep each of them
+        pipe = make_rule(alpha=0.0, tau=1.0, t=-np.pi + 1e-3, sigma=1.0, quad=PIPELINE_QUAD)
+        d = self.dense_input(pipe, seed=3)
+        got, ref = shrink_array(d, pipe), direct_shrink(d, pipe)
+        assert np.count_nonzero(ref * d < 0) >= 10
+        np.testing.assert_array_equal(np.sign(got), np.sign(ref))
+
+    def test_repeated_call_is_identical(self):
+        rule = make_rule(t=-3.0, quad=PIPELINE_QUAD)
+        d = self.dense_input(rule, seed=4)
+        assert np.array_equal(shrink_array(d, rule), shrink_array(d, rule))
+
+
+@pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
+                         ids=["pipeline", "dense", "gh64"])
+@pytest.mark.parametrize("t", [-3.0, 3.0])
+def test_peak_memory_stays_flat(t, quad):
+    # rule_moments' (theta x node) matrix, 2001 x 64; panels are counted and
+    # evaluated in chunks, so the work on top of input and output stays
+    # within a fixed margin: two 512 KB work blocks
+    rule = make_rule(t=t, quad=quad)
+    shrink_array(np.linspace(-1.0, 1.0, 64), rule)  # node caches
+    u = gaussian_quad_nodes(GH64)[0]
+    tracemalloc.start()
+    try:
+        d = np.linspace(-60.0, 60.0, 2001)[:, None] + u[None, :]
+        out = shrink_array(d, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= d.nbytes + out.nbytes + 2**20
