@@ -9,10 +9,19 @@ downsampled on even indices,
 
 with the quadrature-mirror highpass g[m] = (-1)^m h[L-1-m].  Under periodic
 boundary handling this realises an exactly orthogonal matrix, so energy is
-preserved and the inverse is the transpose.  Both directions run in
-polyphase form: forward, the even and odd input samples each feed L/2 taps
-of both outputs; inverse, the even and odd output samples each gather L/2
-taps from both coarse vectors.
+preserved and the inverse is the transpose.
+
+Both directions run as windowed polyphase products, one matrix product per
+step.  Forward, the input is read as pairs (x[2k], x[2k+1]) and extended
+by L/2 - 1 wrapped pairs; the n/2 windows of L consecutive samples, each
+two samples on from the last, are a strided view of that one copy, and
+their product with the (L x 2) taps [h, g] gives a_out and d_out together.
+Inverse, the (a, d) pairs are prefixed by L/2 - 1 wrapped pairs, and each
+window's product with the taps in reversed lag order gives the even and
+odd output samples.  Wrapping by index also covers filters longer than the
+level, at the coarsest levels of long filters.  No index matrix and no
+window matrix is materialised, so a step's work memory is one extended
+copy of its input.
 """
 from __future__ import annotations
 
@@ -140,28 +149,45 @@ def _dyadic_log(n: int) -> int:
     return j
 
 
-def _analysis_step(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
-    # polyphase: with half = n/2, x[(2k + 2l + r) mod n] = x[r::2][(k + l) mod half],
-    # so a[k] = sum_l x[0::2][(k + l) mod half] h[2l] + x[1::2][(k + l) mod half] h[2l + 1]
-    half = x.size // 2
-    idx = (np.arange(half)[:, None] + np.arange(len(filt.lowpass) // 2)[None, :]) % half
-    h = np.asarray(filt.lowpass)
-    g = np.asarray(filt.highpass)
-    even, odd = x[0::2][idx], x[1::2][idx]
-    return even @ h[0::2] + odd @ h[1::2], even @ g[0::2] + odd @ g[1::2]
+def _windows(ext: np.ndarray, half: int, length: int) -> np.ndarray:
+    """(half x length) view of ext's flat samples: row k holds
+    ext.flat[2k : 2k + length], so consecutive rows overlap and nothing is
+    copied.  The buffer constructor checks that the last row ends inside ext."""
+    step = ext.itemsize
+    return np.ndarray((half, length), buffer=ext, strides=(2 * step, step))
+
+
+def _analysis_step(x: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # as pairs (x[2k], x[2k+1]) wrapped by L/2 - 1 pairs, window k is
+    # x[(2k + m) mod n] for m = 0..L-1, so one product with the (L x 2) taps
+    # [h, g] gives a[k] and d[k]; take wraps more than once where the filter
+    # is longer than the level
+    half, length = x.size // 2, taps.shape[0]
+    ext = x.reshape(half, 2).take(np.arange(half + length // 2 - 1), axis=0, mode="wrap")
+    coarse = _windows(ext, half, length) @ taps
+    return coarse[:, 0].copy(), coarse[:, 1].copy()
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
-                    filt: WaveletFilter) -> np.ndarray:
-    # polyphase transpose of the analysis step: with half = n/2,
-    # x[2m + r] = sum_l a[(m - l) mod half] h[2l + r] + d[(m - l) mod half] g[2l + r]
-    half = approx.size
-    idx = (np.arange(half)[:, None] - np.arange(len(filt.lowpass) // 2)[None, :]) % half
-    h = np.asarray(filt.lowpass)
-    g = np.asarray(filt.highpass)
-    x = approx[idx] @ np.stack([h[0::2], h[1::2]], axis=1) \
-        + detail[idx] @ np.stack([g[0::2], g[1::2]], axis=1)
-    return x.ravel()
+                    taps: np.ndarray) -> np.ndarray:
+    # transpose of the analysis step: with half = n/2,
+    # x[2m + r] = sum_l a[(m - l) mod half] h[2l + r] + d[(m - l) mod half] g[2l + r],
+    # so over (a, d) pairs prefixed by L/2 - 1 wrapped pairs, window m holds
+    # lags L/2 - 1 .. 0, and one product with the (L x 2) synthesis taps
+    # gives x[2m] and x[2m + 1]
+    half, length = approx.size, taps.shape[0]
+    lag = np.arange(1 - length // 2, half)
+    ext = np.empty((lag.size, 2))
+    ext[:, 0] = approx.take(lag, mode="wrap")
+    ext[:, 1] = detail.take(lag, mode="wrap")
+    return (_windows(ext, half, length) @ taps).ravel()
+
+
+def _synthesis_taps(filt: WaveletFilter) -> np.ndarray:
+    """(L x 2) taps of _synthesis_step: row 2i + c, column r holds tap
+    2l + r of h (c = 0) or g (c = 1) at lag l = L/2 - 1 - i."""
+    pairs = [np.asarray(f).reshape(-1, 2)[::-1] for f in (filt.lowpass, filt.highpass)]
+    return np.stack(pairs, axis=1).reshape(-1, 2)
 
 
 def forward(signal, filt: WaveletFilter, primary_level: int) -> WaveletDecomposition:
@@ -175,9 +201,10 @@ def forward(signal, filt: WaveletFilter, primary_level: int) -> WaveletDecomposi
             f"primary level must satisfy 0 <= J0 < {depth}, got {primary_level}"
         )
     details: dict[int, np.ndarray] = {}
-    approx = x.copy()
+    taps = np.stack([filt.lowpass, filt.highpass], axis=1)
+    approx = x
     for j in range(depth - 1, primary_level - 1, -1):
-        approx, detail = _analysis_step(approx, filt)
+        approx, detail = _analysis_step(approx, taps)
         details[j] = detail
     return WaveletDecomposition(scaling=approx, details=details, n=x.size, filter=filt)
 
@@ -193,13 +220,14 @@ def inverse(decomp: WaveletDecomposition) -> np.ndarray:
             f"scaling block has length {decomp.scaling.size}, expected {expected}"
         )
     x = np.asarray(decomp.scaling, dtype=float)
+    taps = _synthesis_taps(decomp.filter)
     for j in levels:
         detail = np.asarray(decomp.details[j], dtype=float)
         if detail.size != 2**j:
             raise ValueError(
                 f"detail level {j} has length {detail.size}, expected {2**j}"
             )
-        x = _synthesis_step(x, detail, decomp.filter)
+        x = _synthesis_step(x, detail, taps)
     if x.size != decomp.n:
         raise ValueError(
             f"decomposition reconstructs length {x.size}, expected {decomp.n}"

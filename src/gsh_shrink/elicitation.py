@@ -75,7 +75,19 @@ def estimate_sigma(finest_detail) -> float:
     d = np.asarray(finest_detail, dtype=float)
     if d.size == 0:
         raise ValueError("finest detail level is empty")
-    return float(np.median(np.abs(d)) / MAD_SCALE)
+    return float(_median(np.abs(d)) / MAD_SCALE)
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty 1-d float array, step for step (the same
+    partition, mean of the middle values, and NaN rule), without the
+    numpy.ma import np.median makes for its NaN check."""
+    half = a.size // 2
+    middle = [half - 1, half] if a.size % 2 == 0 else [half]
+    part = np.partition(a, middle + [-1])
+    if np.isnan(part[-1]):
+        return np.nan
+    return np.mean(part[middle[0]:half + 1])
 
 
 def alpha_level(j: int, cfg: ElicitationConfig) -> float:
@@ -93,11 +105,14 @@ def sample_kurtosis(coeffs) -> float:
     if d.size < 4:
         raise ValueError(f"need at least 4 values, got {d.size}")
     centered = d - d.mean()
-    m2 = np.mean(centered**2)
+    # one square, reused for the fourth power: centered**4 would call pow
+    sq = centered * centered
+    m2 = np.mean(sq)
     if m2 == 0.0:
         raise DegenerateInputError("constant vector has undefined kurtosis")
-    m4 = np.mean(centered**4)
-    return float(m4 / m2**2)
+    sq *= sq
+    m4 = np.mean(sq)
+    return float(m4 / (m2 * m2))
 
 
 def elicit_t(beta_hat: float) -> float:

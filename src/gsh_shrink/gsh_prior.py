@@ -9,7 +9,7 @@ every t.  Density:
     g(theta) = (c1/tau) * exp(z) / (exp(2z) + 2a exp(z) + 1),   z = c2*theta/tau
 
 with, for -pi < t < 0:
-    a = cos(t),  c2 = sqrt((pi^2 - t^2)/3),  c1 = (sin(t)/t) * c2
+    a = cos(t),  c2 = sqrt((pi - t)(pi + t)/3),  c1 = (sin(t)/t) * c2
 and for t > 0:
     a = cosh(t), c2 = sqrt((pi^2 + t^2)/3),  c1 = (sinh(t)/t) * c2.
 
@@ -53,7 +53,8 @@ def gsh_constants(t: float) -> tuple[float, float, float]:
         return 1.0, c2, c2
     if t < 0:
         a = np.cos(t)
-        c2 = np.sqrt((np.pi**2 - t * t) / 3.0)
+        # (pi - t)(pi + t), not pi^2 - t^2, which cancels as t -> -pi
+        c2 = np.sqrt((np.pi - t) * (np.pi + t) / 3.0)
         c1 = (np.sin(t) / t) * c2
     else:
         a = np.cosh(t)

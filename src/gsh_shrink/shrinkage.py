@@ -37,6 +37,17 @@ the log-space region and inputs of at most 20 coefficients are evaluated
 directly.  The series interpolate I0 and J, not delta: the denominator of
 delta has complex zeros near the real axis, which a table of delta misses.
 
+One kernel, kept.  Apart from alpha, which enters only the final ratio,
+the sums depend on the slab, sigma and the quadrature alone.  A kernel per
+such triple holds the nodes, the factorised weights and the tables built so
+far, and the last kernel asked for is kept for the next call: a cache of
+one.  The levels of one denoise call share sigma and, with a pooled t, the
+slab; the risk curve and both Bayes risks of a rule share all three.  Tables
+are built in aligned groups of block/20 consecutive panels, always whole, so
+a panel's series has the same bits whatever the kernel evaluated before.
+Whether a coefficient takes its panel's table still depends on its own
+call alone.
+
 Panels are counted and coefficients evaluated in chunks of a few thousand,
 so no temporary grows with the input.  A table's delta agrees with the
 direct evaluation within 1e-9 sigma (2.3e-10 sigma at worst, at the t
@@ -45,11 +56,12 @@ a larger shrink_array call may differ by that much.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gsh_prior import ShrinkagePrior, gsh_log_density
+from .gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
 from .numerics import DENSE_QUAD, QuadratureSpec, gaussian_quad_nodes
 
 #: Cap on elements of the (coefficients x nodes) work matrix per block:
@@ -99,27 +111,35 @@ class ShrinkageRule:
 
 
 class _Kernel:
-    """One rule's quadrature sum, evaluated at |d|."""
+    """The quadrature sums of one (slab, sigma, quadrature), evaluated at |d|,
+    and the panel tables built for them so far.  alpha enters only through
+    posterior_mean, so rules that differ in alpha alone share one kernel."""
 
-    def __init__(self, rule: ShrinkageRule):
-        u, v = gaussian_quad_nodes(rule.quad)
+    def __init__(self, p: GshParams, sigma: float, quad: QuadratureSpec):
+        u, v = gaussian_quad_nodes(quad)
         self.u, self.log_v = u, np.log(v)
-        self.alpha, self.sigma = rule.prior.alpha, rule.sigma
-        self.p = p = rule.prior.gsh
+        self.sigma, self.p = sigma, p
         self.k = k = p.c2 / p.tau
         self.block = max(1, _BLOCK_ELEMENTS // u.size)
         self.u_reach = float(np.abs(u).max())
-        self.direct_reachable = k * self.sigma * self.u_reach < _Z_DIRECT
+        self.direct_reachable = k * sigma * self.u_reach < _Z_DIRECT
         if self.direct_reachable:
             # node factors of the separable slab weights, and the
             # (nodes x 2) weights of I0 and J = (I1 - d I0)/sigma
-            self.node_factors = np.stack([np.exp(k * self.sigma * u),
-                                          np.exp(-k * self.sigma * u),
+            self.node_factors = np.stack([np.exp(k * sigma * u),
+                                          np.exp(-k * sigma * u),
                                           np.ones_like(u)])
             self.weights = (p.c1 / p.tau) * np.stack([v, v * u], axis=1)
         # distance of the slab's poles from the real axis: I0 and J are
         # analytic in a strip of this half-width, which is the panel width
         self.rho = (np.pi - abs(p.t) if p.t < 0.0 else np.pi) / k
+        # panels whose every node argument stays on the direct branch
+        reach = (_Z_DIRECT / k - sigma * self.u_reach) / self.rho
+        self.max_panels = int(min(max(reach, 0.0), _MAX_PANELS))
+        # tables are built and kept in aligned groups of this many panels,
+        # always whole, so a panel's series has the same bits in every call
+        self.group = max(1, self.block // _TABLE_NODES)
+        self.groups: dict[int, np.ndarray] = {}
 
     def integrals(self, x: np.ndarray) -> np.ndarray:
         """(I0, J) at each x on the direct branch, as an (x.size, 2) array.
@@ -134,9 +154,9 @@ class _Kernel:
         slab = row_factors @ self.node_factors
         return np.reciprocal(slab, out=slab) @ self.weights
 
-    def posterior_mean(self, x, i0, j) -> np.ndarray:
+    def posterior_mean(self, x, i0, j, alpha: float) -> np.ndarray:
         """delta at x from I0 and J there, with the point mass exact."""
-        alpha, sigma = self.alpha, self.sigma
+        sigma = self.sigma
         num = x * i0 + sigma * j
         if alpha > 0.0:
             point = (alpha / sigma) * np.exp(-0.5 * (x / sigma) ** 2) \
@@ -145,55 +165,74 @@ class _Kernel:
             point = 0.0
         return (1.0 - alpha) * num / (point + (1.0 - alpha) * i0)
 
-    def direct(self, mag: np.ndarray) -> np.ndarray:
+    def direct(self, mag: np.ndarray, alpha: float) -> np.ndarray:
         """delta at each |d|, one pass over the quadrature nodes each."""
         out = np.empty_like(mag)
-        alpha, sigma, u = self.alpha, self.sigma, self.u
         for start in range(0, mag.size, self.block):
             dj = mag[start:start + self.block]
-            if self.k * (dj.max(initial=0.0) + sigma * self.u_reach) < _Z_DIRECT:
+            if self.k * (dj.max(initial=0.0) + self.sigma * self.u_reach) < _Z_DIRECT:
                 integrals = self.integrals(dj)
                 out[start:start + self.block] = self.posterior_mean(
-                    dj, integrals[:, 0], integrals[:, 1])
+                    dj, integrals[:, 0], integrals[:, 1], alpha)
                 continue
-            # log-space with a max shift: for extreme coefficients the raw
-            # terms underflow while the ratio stays well conditioned
-            arg = dj[:, None] + sigma * u[None, :]
-            s = gsh_log_density(arg, self.p) + self.log_v[None, :]
-            shift = s.max(axis=1, keepdims=True)
-            w = np.exp(s - shift)
-            den = w.sum(axis=1)
-            num = (w * arg).sum(axis=1)
-            if alpha > 0.0:
-                log_point = (
-                    np.log(alpha) - np.log(sigma)
-                    - 0.5 * (dj / sigma) ** 2 - 0.5 * np.log(2.0 * np.pi)
-                )
-                point = np.exp(log_point - shift[:, 0])
-            else:
-                point = 0.0
-            out[start:start + self.block] = (1.0 - alpha) * num \
-                / (point + (1.0 - alpha) * den)
+            # the log-space branch holds several (rows x nodes) temporaries
+            # at once (six inside gsh_log_density), so it takes an eighth of a
+            # block at a time
+            stop, rows = start + dj.size, max(1, self.block // 8)
+            for sub in range(start, stop, rows):
+                end = min(sub + rows, stop)
+                out[sub:end] = self.log_space(mag[sub:end], alpha)
         return out
+
+    def log_space(self, dj: np.ndarray, alpha: float) -> np.ndarray:
+        """delta at each |d| in log space with a max shift: for extreme
+        coefficients the raw terms underflow while the ratio stays well
+        conditioned."""
+        sigma = self.sigma
+        arg = dj[:, None] + sigma * self.u[None, :]
+        s = gsh_log_density(arg, self.p) + self.log_v[None, :]
+        shift = s.max(axis=1, keepdims=True)
+        w = np.exp(s - shift)
+        den = w.sum(axis=1)
+        num = (w * arg).sum(axis=1)
+        if alpha > 0.0:
+            log_point = (
+                np.log(alpha) - np.log(sigma)
+                - 0.5 * (dj / sigma) ** 2 - 0.5 * np.log(2.0 * np.pi)
+            )
+            point = np.exp(log_point - shift[:, 0])
+        else:
+            point = 0.0
+        return (1.0 - alpha) * num / (point + (1.0 - alpha) * den)
 
     def panel_of(self, mag: np.ndarray, count: int) -> np.ndarray:
         """Panel index of each |d|; count for any beyond the first count."""
         return np.fmin(mag / self.rho, count).astype(np.intp)
 
+    def group_table(self, g: int) -> np.ndarray:
+        """Chebyshev coefficients of the panels of group g, built on first use:
+        a (nodes, 2, panels) array, the series of I0 and J in
+        s = 2|d|/rho - (2 panel + 1), which spans [-1, 1]."""
+        coefs = self.groups.get(g)
+        if coefs is None:
+            part = np.arange(g * self.group, min((g + 1) * self.group, self.max_panels))
+            nodes = (part[:, None] + 0.5 + 0.5 * _CHEB_POINTS) * self.rho
+            values = self.integrals(nodes.ravel()).reshape(part.size, _TABLE_NODES, 2)
+            coefs = self.groups[g] = (_CHEB_TRANSFORM @ values).transpose(1, 2, 0)
+        return coefs
+
     def tables(self, flat: np.ndarray):
         """(panel count, panel -> table row, Chebyshev coefficients) for the
         panels that hold more coefficients than a table has nodes, or None.
 
-        The coefficients form a (nodes, 2, tables) array: the series of I0
-        and J in s = 2|d|/rho - (2 panel + 1), which spans [-1, 1].
+        The coefficients form a (nodes, 2, rows) array: the tables of every
+        group that holds such a panel, side by side.
         """
         if (not self.direct_reachable or flat.size <= _TABLE_NODES
                 or self.u.size < _MIN_QUAD_NODES_PER_TABLE_NODE * _TABLE_NODES):
             return None
         top = max(flat.max(initial=0.0), -flat.min(initial=0.0))
-        # panels whose every node argument stays on the direct branch
-        reach = (_Z_DIRECT / self.k - self.sigma * self.u_reach) / self.rho
-        count = int(min(reach, top / self.rho + 1.0, _MAX_PANELS))
+        count = int(min(self.max_panels, top / self.rho + 1.0))
         if count <= 0:
             return None
         held = np.zeros(count + 1, dtype=np.intp)
@@ -203,18 +242,16 @@ class _Kernel:
         panels = np.flatnonzero(held[:count] > _TABLE_NODES)
         if panels.size == 0:
             return None
+        group_of = panels // self.group
+        used = np.flatnonzero(np.bincount(group_of))
+        # every group but the last possible one is self.group panels wide,
+        # and that one can only come last
         row_of = np.full(count + 1, -1, dtype=np.intp)
-        row_of[panels] = np.arange(panels.size)
-        coefs = np.empty((_TABLE_NODES, 2, panels.size))
-        step = max(1, self.block // _TABLE_NODES)
-        for start in range(0, panels.size, step):
-            part = panels[start:start + step]
-            nodes = (part[:, None] + 0.5 + 0.5 * _CHEB_POINTS) * self.rho
-            values = self.integrals(nodes.ravel()).reshape(part.size, _TABLE_NODES, 2)
-            coefs[:, :, start:start + step] = (_CHEB_TRANSFORM @ values).transpose(1, 2, 0)
+        row_of[panels] = np.searchsorted(used, group_of) * self.group + panels % self.group
+        coefs = np.concatenate([self.group_table(g) for g in used], axis=2)
         return count, row_of, coefs
 
-    def tabled(self, mag: np.ndarray, tables) -> np.ndarray:
+    def tabled(self, mag: np.ndarray, tables, alpha: float) -> np.ndarray:
         """delta at each |d|: from its panel's table where it has one, and
         directly elsewhere."""
         count, row_of, coefs = tables
@@ -223,7 +260,7 @@ class _Kernel:
         hit = row >= 0
         out = np.empty_like(mag)
         rest = ~hit
-        out[rest] = self.direct(mag[rest])
+        out[rest] = self.direct(mag[rest], alpha)
         x, row = mag[hit], row[hit]
         s = (2.0 / self.rho) * x - (2.0 * panel[hit] + 1.0)
         # Clenshaw's recurrence for both series at once
@@ -236,23 +273,32 @@ class _Kernel:
             b0 -= b2
             b1, b2 = b0, b1
         i0, j = coefs[0].take(row, axis=1) + s * b1 - b2
-        out[hit] = self.posterior_mean(x, i0, j)
+        out[hit] = self.posterior_mean(x, i0, j, alpha)
         return out
+
+
+@functools.lru_cache(maxsize=1)
+def _kernel(p: GshParams, sigma: float, quad: QuadratureSpec) -> _Kernel:
+    """The kernel of the last (slab, sigma, quadrature) asked for: the levels
+    of one denoise call, and the calls of one risk diagnosis, share it."""
+    return _Kernel(p, sigma, quad)
 
 
 def shrink_array(d, rule: ShrinkageRule) -> np.ndarray:
     """Vectorised posterior mean; the workhorse behind shrink."""
     d = np.asarray(d, dtype=float)
-    if rule.prior.alpha == 1.0:
+    alpha = rule.prior.alpha
+    if alpha == 1.0:
         return np.zeros_like(d)
-    kernel = _Kernel(rule)
+    kernel = _kernel(rule.prior.gsh, rule.sigma, rule.quad)
     flat = d.ravel()
     out = np.empty_like(flat)
     tables = kernel.tables(flat)
     for start in range(0, flat.size, _CHUNK):
         dj = flat[start:start + _CHUNK]
         mag = np.abs(dj)
-        delta = kernel.direct(mag) if tables is None else kernel.tabled(mag, tables)
+        delta = kernel.direct(mag, alpha) if tables is None \
+            else kernel.tabled(mag, tables, alpha)
         # the rule is odd; the numerator integrand is odd at d = 0, so the
         # posterior mean is exactly zero there: pin it to avoid rounding residue
         delta *= np.sign(dj)

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import refs
 from gsh_shrink.dwt import (WaveletDecomposition, daubechies_filter, forward,
                             inverse)
 
@@ -120,6 +122,49 @@ class TestForward:
             approx, detail = windows @ h, windows @ g
             assert np.abs(decomp.details[j] - detail).max() <= 1e-13 * scale
         assert np.abs(decomp.scaling - approx).max() <= 1e-13 * scale
+
+
+class TestAgainstReference:
+    """The windowed polyphase steps against the oracle's FFT correlation,
+    with the oracle's own filters computed from the Daubechies polynomial."""
+
+    @pytest.mark.parametrize("n_moments", range(1, 11))
+    @pytest.mark.parametrize("n, primary", [(8, 0), (64, 0), (1024, 3)])
+    def test_forward_matches_reference(self, n_moments, n, primary):
+        # at n = 8 and J0 = 0 every filter from D3 on is longer than the
+        # coarsest levels, so windows wrap around a level more than once
+        x = np.random.default_rng(n_moments).normal(size=n)
+        decomp = forward(x, daubechies_filter(n_moments), primary)
+        scaling, details = refs.dwt_forward(x, refs.daubechies_lowpass(n_moments), primary)
+        assert sorted(details) == decomp.levels
+        scale = np.abs(x).max()
+        assert np.abs(decomp.scaling - scaling).max() <= 1e-12 * scale
+        for j in decomp.levels:
+            assert np.abs(decomp.details[j] - details[j]).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_moments", range(1, 11))
+    @pytest.mark.parametrize("n, primary", [(8, 0), (64, 0), (1024, 3)])
+    def test_round_trip_is_exact(self, n_moments, n, primary):
+        x = np.random.default_rng(n_moments).normal(size=n)
+        back = inverse(forward(x, daubechies_filter(n_moments), primary))
+        assert np.abs(back - x).max() <= 1e-13 * np.abs(x).max()
+
+    def test_peak_memory_stays_flat(self):
+        # the steps read overlapping windows of one wrapped copy per level;
+        # no (n/2 x L) index or window matrix is materialised
+        filt = daubechies_filter(10)
+        x = np.random.default_rng(3).normal(size=2**16)
+        inverse(forward(x[:64], filt, 4))
+        tracemalloc.start()
+        try:
+            decomp = forward(x, filt, 4)
+            back = inverse(decomp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = back.nbytes + decomp.scaling.nbytes + sum(
+            d.nbytes for d in decomp.details.values())
+        assert peak <= x.nbytes + outputs + 2**20
 
 
 class TestInverse:

@@ -85,6 +85,15 @@ class TestSampleKurtosis:
         assert sample_kurtosis(a * v + b) == pytest.approx(
             sample_kurtosis(v), abs=1e-10)
 
+    def test_matches_exact_sums_on_heavy_tails(self):
+        # Student-t(4) has no finite fourth moment, so the sample's fourth
+        # power spans many orders of magnitude
+        x = np.random.default_rng(41).standard_t(4, size=20_000)
+        mean = math.fsum(x) / x.size
+        m2 = math.fsum((v - mean) ** 2 for v in x) / x.size
+        m4 = math.fsum((v - mean) ** 4 for v in x) / x.size
+        assert sample_kurtosis(x) == pytest.approx(m4 / m2**2, rel=1e-14)
+
     def test_constant_vector(self):
         with pytest.raises(DegenerateInputError):
             sample_kurtosis([5.0, 5.0, 5.0, 5.0])

@@ -50,6 +50,14 @@ class TestConstants:
         with pytest.raises(ValueError):
             gsh_constants(t)
 
+    @pytest.mark.parametrize("t", [-math.pi + 1e-3, -3.1, -3.0])
+    def test_constants_keep_their_digits_near_the_clamp(self, t):
+        # pi^2 - t^2 cancels as t -> -pi; (pi - t)(pi + t) does not
+        a, c1, c2 = gsh_constants(t)
+        ref_a, _, ref_c1, ref_c2 = refs.gsh_constants(t)
+        for got, ref in ((a, ref_a), (c1, ref_c1), (c2, ref_c2)):
+            assert abs(got - ref) <= math.ulp(ref)
+
     def test_continuity_at_branch_switch(self):
         lo = gsh_constants(-1e-7)
         mid = gsh_constants(0.0)

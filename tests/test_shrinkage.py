@@ -15,8 +15,8 @@ from conftest import refs
 from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
 from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
                                  TRAPEZOID_ORACLE, gaussian_quad_nodes)
-from gsh_shrink.shrinkage import (_TABLE_NODES, _Z_DIRECT, ShrinkageRule, shrink,
-                                  shrink_array)
+from gsh_shrink.shrinkage import (_TABLE_NODES, _Z_DIRECT, ShrinkageRule, _kernel,
+                                  shrink, shrink_array)
 
 GH64 = QuadratureSpec(node_count=64)
 
@@ -333,13 +333,61 @@ class TestPanelTables:
         assert np.array_equal(shrink_array(d, rule), shrink_array(d, rule))
 
 
+class TestKernelCache:
+    """One kernel per (slab, sigma, quadrature), kept for the next call: its
+    tables are built in whole aligned groups, so no result depends on what
+    the kernel evaluated before."""
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
+    @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 3.0])
+    def test_same_bits_whatever_the_history(self, t, quad):
+        rule = make_rule(alpha=0.9, t=t, sigma=1.5, quad=quad)
+        d = TestPanelTables().dense_input(rule, seed=5)
+        _kernel.cache_clear()
+        cold = shrink_array(d, rule)
+        # the same kernel, warmed on other panels first
+        _kernel.cache_clear()
+        shrink_array(np.concatenate([3.0 * d[::3], d[::7]]), rule)
+        assert np.array_equal(shrink_array(d, rule), cold)
+        # after another rule took the cache's one place
+        shrink_array(d, make_rule(alpha=0.9, t=t + 0.5, sigma=1.5, quad=quad))
+        assert np.array_equal(shrink_array(d, rule), cold)
+
+    def test_rules_differing_in_alpha_share_a_kernel(self):
+        d = np.linspace(-8.0, 8.0, 4001)
+        _kernel.cache_clear()
+        for alpha in (0.0, 0.5, 0.75, 0.9):
+            shrink_array(d, make_rule(alpha=alpha, t=-3.0, quad=PIPELINE_QUAD))
+        info = _kernel.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 3, 1)
+
+
+def test_pipeline_leaves_numpy_ma_unloaded():
+    # numpy.ma costs about 1 MB on import; nothing on the denoise and risk
+    # paths needs it
+    code = ("import sys, numpy as np; "
+            "from gsh_shrink import denoise_detailed; "
+            "from gsh_shrink.risk_analysis import default_risk_grid, risk_curve; "
+            "from gsh_shrink.shrinkage import ShrinkageRule; "
+            "from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior; "
+            "y = np.sin(np.linspace(0, 20, 4096)) + np.random.default_rng(1).normal(0, 0.3, 4096); "
+            "denoise_detailed(y, 'gsh'); "
+            "risk_curve(default_risk_grid(), ShrinkageRule(ShrinkagePrior(0.9, GshParams.make(1.0, -3.0)), 1.0)); "
+            "print('numpy.ma' in sys.modules)")
+    path = str(Path(gsh_shrink.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
                          ids=["pipeline", "dense", "gh64"])
-@pytest.mark.parametrize("t", [-3.0, 3.0])
+@pytest.mark.parametrize("t", [-3.0, 3.0, 50.0])
 def test_peak_memory_stays_flat(t, quad):
     # rule_moments' (theta x node) matrix, 2001 x 64; panels are counted and
     # evaluated in chunks, so the work on top of input and output stays
-    # within a fixed margin: two 512 KB work blocks
+    # within a fixed margin: two 512 KB work blocks.  At t = 50 nearly every
+    # coefficient takes the log-space branch, an eighth of a block at a time
     rule = make_rule(t=t, quad=quad)
     shrink_array(np.linspace(-1.0, 1.0, 64), rule)  # node caches
     u = gaussian_quad_nodes(GH64)[0]
