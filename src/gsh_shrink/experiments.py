@@ -23,7 +23,8 @@ from .dwt import WaveletDecomposition, daubechies_filter, forward, inverse
 from .elicitation import (ElicitationConfig, ElicitedHyperparams, elicit_all,
                           estimate_sigma)
 from .gsh_prior import GshParams, ShrinkagePrior
-from .numerics import DegenerateInputError, PIPELINE_QUAD, QuadratureSpec, SeededRng
+from .numerics import (DegenerateInputError, PIPELINE_QUAD, QuadratureSpec, SeededRng,
+                       require_finite)
 from .shrinkage import ShrinkageRule, shrink_array
 from .signals import FUNCTION_NAMES, make_noisy_sample
 
@@ -129,8 +130,10 @@ def sure_threshold(level_coeffs, sigma: float) -> np.ndarray:
     x = np.abs(d) / sigma
     n = x.size
     cap = np.sqrt(2.0 * np.log(n))
-    candidates = np.unique(np.concatenate([[0.0, cap], x[x <= cap]]))
     xs = np.sort(x)
+    # zero, the distinct magnitudes up to the cap, and the cap, in order
+    candidates = np.concatenate([[0.0], xs[:np.searchsorted(xs, cap, side="right")], [cap]])
+    candidates = candidates[np.concatenate([[True], candidates[1:] != candidates[:-1]])]
     sq_prefix = np.concatenate([[0.0], np.cumsum(xs * xs)])
     counts = np.searchsorted(xs, candidates, side="right")
     risk = (n - 2.0 * counts + sq_prefix[counts]
@@ -162,12 +165,14 @@ def denoise_detailed(y, method: str, cfg: ExperimentConfig | None = None) -> Den
     """Forward transform, per-method coefficient estimation, reconstruction.
 
     Scaling coefficients always pass through untouched.  Degenerate inputs
-    (no detail variation, or zero estimated noise) come back unshrunk.
+    (no detail variation, or zero estimated noise) come back unshrunk; a
+    sample that is not finite raises ValueError naming the first one.
     """
     cfg = cfg if cfg is not None else ExperimentConfig()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     y = np.asarray(y, dtype=float)
+    require_finite(y, "samples")
     filt = daubechies_filter(cfg.vanishing_moments)
     decomp = forward(y, filt, cfg.elicitation.primary_level)
     sigma_hat = estimate_sigma(decomp.finest_detail)

@@ -19,6 +19,15 @@ class DegenerateInputError(ValueError):
     """Input data carries no usable variation (e.g. a constant vector)."""
 
 
+def require_finite(x: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first non-finite entry of x, if any."""
+    if x.size == 0 or (np.isfinite(x.max()) and np.isfinite(x.min())):
+        return
+    first = int(np.flatnonzero(~np.isfinite(x))[0])
+    index = first if x.ndim == 1 else tuple(int(i) for i in np.unravel_index(first, x.shape))
+    raise ValueError(f"{what} must be finite: index {index} is {float(x.flat[first])}")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """How to evaluate a Gaussian expectation.

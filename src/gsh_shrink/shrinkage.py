@@ -29,13 +29,19 @@ and J to rounding level (the nearest pole lies two half-widths off the
 panel; Trefethen, Approximation Theory and Approximation Practice, 2013).
 A panel gets a table when it holds more coefficients than the table has
 nodes and the direct branch is valid across it; the table costs 20 direct
-evaluations, and each of its coefficients then takes two Clenshaw sums and
-the exact point mass instead of a pass over the quadrature nodes.  That
-pays off only for quadratures with many nodes (the trapezoid rules), so
-Gauss-Hermite rules of up to 119 nodes never build tables.  Sparse panels,
-the log-space region and inputs of at most 20 coefficients are evaluated
-directly.  The series interpolate I0 and J, not delta: the denominator of
-delta has complex zeros near the real axis, which a table of delta misses.
+evaluations.  One constant (72 x 20) matrix then re-expands the panel's
+series on 8 sub-panels rho/8 wide, as 9-term series: the pole lies 16
+sub-panel half-widths off, so their terms decay like 32^-k and 9 reach
+about 1e-13 of scale.  Only the sub-panel series are kept, as complex
+numbers with I0 in the real part and J in the imaginary part, 1152 bytes a
+panel.  Each tabled coefficient then takes one complex Clenshaw sum of 9
+terms, which has the bits of the two real ones, and the exact point mass
+instead of a pass over the quadrature nodes.  That pays off only for
+quadratures with many nodes (the trapezoid rules), so Gauss-Hermite rules of
+up to 119 nodes never build tables.  Sparse panels, the log-space region and
+inputs of at most 20 coefficients are evaluated directly.  The series
+interpolate I0 and J, not delta: the denominator of delta has complex zeros
+near the real axis, which a table of delta misses.
 
 One kernel, kept.  Apart from alpha, which enters only the final ratio,
 the sums depend on the slab, sigma and the quadrature alone.  A kernel per
@@ -43,8 +49,9 @@ such triple holds the nodes, the factorised weights and the tables built so
 far, and the last kernel asked for is kept for the next call: a cache of
 one.  The levels of one denoise call share sigma and, with a pooled t, the
 slab; the risk curve and both Bayes risks of a rule share all three.  Tables
-are built in aligned groups of block/20 consecutive panels, always whole, so
-a panel's series has the same bits whatever the kernel evaluated before.
+are built in aligned groups of block/20 consecutive panels, always whole, and
+kept side by side in one array, so a panel's series has the same bits
+whatever the kernel evaluated before and no call copies them.
 Whether a coefficient takes its panel's table still depends on its own
 call alone.
 
@@ -62,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
-from .numerics import DENSE_QUAD, QuadratureSpec, gaussian_quad_nodes
+from .numerics import DENSE_QUAD, QuadratureSpec, gaussian_quad_nodes, require_finite
 
 #: Cap on elements of the (coefficients x nodes) work matrix per block:
 #: 512 KB of doubles, so a block stays in a core's L2 cache.
@@ -88,13 +95,67 @@ _MAX_PANELS = 16_384
 #: Largest |z| = k |d + sigma u| at which slab weights are evaluated directly.
 _Z_DIRECT = 600.0
 
-_CHEB_ANGLES = np.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
-#: Chebyshev points on [-1, 1], and the matrix taking values there to the
-#: coefficients of sum_k c_k T_k (with c_0 already halved).
-_CHEB_POINTS = np.cos(_CHEB_ANGLES)
-_CHEB_TRANSFORM = (2.0 / _TABLE_NODES) * np.cos(
-    np.outer(np.arange(_TABLE_NODES), _CHEB_ANGLES))
-_CHEB_TRANSFORM[0] *= 0.5
+#: Each panel's series is re-expanded on this many sub-panels of equal width,
+#: as a series of _SUB_NODES terms each.  The integrands' nearest pole lies
+#: 16 sub-panel half-widths off the real axis, so the sub-panel series decay
+#: like (16 + sqrt(257))^-k, about 32^-k.
+_SUB_PANELS = 8
+_SUB_NODES = 9
+
+
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Chebyshev points (of the first kind) on [-1, 1], and the matrix
+    taking values there to the coefficients of sum_k c_k T_k (with c_0
+    already halved)."""
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    transform = (2.0 / n) * np.cos(np.outer(np.arange(n), angles))
+    transform[0] *= 0.5
+    return np.cos(angles), transform
+
+
+_CHEB_POINTS, _CHEB_TRANSFORM = _chebyshev(_TABLE_NODES)
+
+
+def _sub_expansion() -> np.ndarray:
+    """The (_SUB_PANELS * _SUB_NODES, _TABLE_NODES) matrix taking a panel's
+    series to its sub-panels' series: row _SUB_NODES * m + q gives the q-th
+    coefficient on sub-panel m, in the sub-panel's own s on [-1, 1]."""
+    points, transform = _chebyshev(_SUB_NODES)
+    centres = (2.0 * np.arange(_SUB_PANELS) + 1.0) / _SUB_PANELS - 1.0
+    s = centres[:, None] + points / _SUB_PANELS
+    # T_k at each sub-panel's Chebyshev points, (panel, point, k)
+    t_k = np.cos(np.arccos(s)[..., None] * np.arange(_TABLE_NODES))
+    return (transform @ t_k).reshape(_SUB_PANELS * _SUB_NODES, _TABLE_NODES)
+
+
+_SUB_EXPANSION = _sub_expansion()
+
+
+def _clenshaw(series: np.ndarray, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k series[k, rows] T_k(s) by Clenshaw's recurrence, for complex
+    series and real s.
+
+    The recurrence is linear in the coefficients, and a product with a
+    complex number of zero imaginary part is exact in each part, so on
+    complex series it runs two real series at once, each with the bits it
+    would have alone.  The first two steps, whose b_{k+2} terms are zero, are
+    unrolled, and the last takes s b_1 as (2s b_1)/2, which has the same bits.
+    """
+    s2 = (2.0 * s).astype(complex)
+    b2 = series[-1].take(rows)
+    b1 = series[-2].take(rows)
+    b1 += s2 * b2
+    for c in series[-3:0:-1]:
+        b0 = c.take(rows)
+        b0 += s2 * b1
+        b0 -= b2
+        b1, b2 = b0, b1
+    b1 *= s2
+    b1 *= 0.5
+    out = series[0].take(rows)
+    out += b1
+    out -= b2
+    return out
 
 
 @dataclass(frozen=True)
@@ -137,9 +198,13 @@ class _Kernel:
         reach = (_Z_DIRECT / k - sigma * self.u_reach) / self.rho
         self.max_panels = int(min(max(reach, 0.0), _MAX_PANELS))
         # tables are built and kept in aligned groups of this many panels,
-        # always whole, so a panel's series has the same bits in every call
+        # always whole, so a panel's series has the same bits in every call.
+        # The sub-panel series of every group built so far sit side by side
+        # in one complex array, group slot after group slot, I0 in the real
+        # part and J in the imaginary part
         self.group = max(1, self.block // _TABLE_NODES)
-        self.groups: dict[int, np.ndarray] = {}
+        self.slot_of: dict[int, int] = {}
+        self.series = np.zeros((_SUB_NODES, 0), dtype=complex)
 
     def integrals(self, x: np.ndarray) -> np.ndarray:
         """(I0, J) at each x on the direct branch, as an (x.size, 2) array.
@@ -209,25 +274,46 @@ class _Kernel:
         """Panel index of each |d|; count for any beyond the first count."""
         return np.fmin(mag / self.rho, count).astype(np.intp)
 
-    def group_table(self, g: int) -> np.ndarray:
-        """Chebyshev coefficients of the panels of group g, built on first use:
-        a (nodes, 2, panels) array, the series of I0 and J in
-        s = 2|d|/rho - (2 panel + 1), which spans [-1, 1]."""
-        coefs = self.groups.get(g)
-        if coefs is None:
-            part = np.arange(g * self.group, min((g + 1) * self.group, self.max_panels))
-            nodes = (part[:, None] + 0.5 + 0.5 * _CHEB_POINTS) * self.rho
-            values = self.integrals(nodes.ravel()).reshape(part.size, _TABLE_NODES, 2)
-            coefs = self.groups[g] = (_CHEB_TRANSFORM @ values).transpose(1, 2, 0)
-        return coefs
+    def panel_series(self, g: int) -> np.ndarray:
+        """Chebyshev coefficients of the panels of group g: a (panels, nodes,
+        2) array, the series of I0 and J in s = 2|d|/rho - (2 panel + 1),
+        which spans [-1, 1]."""
+        part = np.arange(g * self.group, min((g + 1) * self.group, self.max_panels))
+        nodes = (part[:, None] + 0.5 + 0.5 * _CHEB_POINTS) * self.rho
+        values = self.integrals(nodes.ravel()).reshape(part.size, _TABLE_NODES, 2)
+        return _CHEB_TRANSFORM @ values
+
+    def sub_panel_series(self, g: int) -> np.ndarray:
+        """The panels of group g re-expanded on their sub-panels: a (sub-panel
+        nodes, panels * _SUB_PANELS) complex array, column _SUB_PANELS * p + m
+        the series of I0 + iJ on sub-panel m of the group's panel p."""
+        wide = self.panel_series(g)
+        sub = (_SUB_EXPANSION @ wide).reshape(len(wide), _SUB_PANELS, _SUB_NODES, 2)
+        series = np.empty((_SUB_NODES, len(wide), _SUB_PANELS), dtype=complex)
+        series.real = sub[..., 0].transpose(2, 0, 1)
+        series.imag = sub[..., 1].transpose(2, 0, 1)
+        return series.reshape(_SUB_NODES, -1)
+
+    def slots(self, groups: list[int]) -> np.ndarray:
+        """The slot of each group in self.series; groups that have none yet
+        get the next free slots, filled with their sub-panel series."""
+        new = [g for g in groups if g not in self.slot_of]
+        if new:
+            width = self.group * _SUB_PANELS
+            kept = self.series.shape[1]
+            grown = np.zeros((_SUB_NODES, kept + len(new) * width), dtype=complex)
+            grown[:, :kept] = self.series
+            self.series = grown
+            for g in new:
+                slot = self.slot_of[g] = len(self.slot_of)
+                series = self.sub_panel_series(g)
+                grown[:, slot * width:slot * width + series.shape[1]] = series
+        return np.array([self.slot_of[g] for g in groups], dtype=np.intp)
 
     def tables(self, flat: np.ndarray):
-        """(panel count, panel -> table row, Chebyshev coefficients) for the
-        panels that hold more coefficients than a table has nodes, or None.
-
-        The coefficients form a (nodes, 2, rows) array: the tables of every
-        group that holds such a panel, side by side.
-        """
+        """(panel count, panel -> first column of its sub-panels in
+        self.series) for the panels that hold more coefficients than a table
+        has nodes, or None."""
         if (not self.direct_reachable or flat.size <= _TABLE_NODES
                 or self.u.size < _MIN_QUAD_NODES_PER_TABLE_NODE * _TABLE_NODES):
             return None
@@ -244,37 +330,40 @@ class _Kernel:
             return None
         group_of = panels // self.group
         used = np.flatnonzero(np.bincount(group_of))
-        # every group but the last possible one is self.group panels wide,
-        # and that one can only come last
+        slots = self.slots(used.tolist())
         row_of = np.full(count + 1, -1, dtype=np.intp)
-        row_of[panels] = np.searchsorted(used, group_of) * self.group + panels % self.group
-        coefs = np.concatenate([self.group_table(g) for g in used], axis=2)
-        return count, row_of, coefs
+        row_of[panels] = _SUB_PANELS * (slots[np.searchsorted(used, group_of)] * self.group
+                                        + panels % self.group)
+        return count, row_of
 
     def tabled(self, mag: np.ndarray, tables, alpha: float) -> np.ndarray:
-        """delta at each |d|: from its panel's table where it has one, and
-        directly elsewhere."""
-        count, row_of, coefs = tables
+        """delta at each |d|: from its sub-panel's series where its panel has
+        a table, and directly elsewhere."""
+        count, row_of = tables
         panel = self.panel_of(mag, count)
-        row = row_of[panel]
-        hit = row >= 0
+        hit = row_of[panel] >= 0
         out = np.empty_like(mag)
         rest = ~hit
         out[rest] = self.direct(mag[rest], alpha)
-        x, row = mag[hit], row[hit]
-        s = (2.0 / self.rho) * x - (2.0 * panel[hit] + 1.0)
-        # Clenshaw's recurrence for both series at once
-        s2 = 2.0 * s
-        b1 = np.zeros((2, x.size))
-        b2 = np.zeros((2, x.size))
-        for c in coefs[:0:-1]:
-            b0 = c.take(row, axis=1)
-            b0 += s2 * b1
-            b0 -= b2
-            b1, b2 = b0, b1
-        i0, j = coefs[0].take(row, axis=1) + s * b1 - b2
-        out[hit] = self.posterior_mean(x, i0, j, alpha)
+        x, panel = mag[hit], panel[hit]
+        sums = self.sub_panel_sums(x, panel, row_of)
+        out[hit] = self.posterior_mean(x, sums.real, sums.imag, alpha)
         return out
+
+    def sub_panel_sums(self, x: np.ndarray, panel: np.ndarray, row_of) -> np.ndarray:
+        """I0 + iJ at each |d| = x of a tabled panel, from its sub-panel's
+        series."""
+        # the position within the panel, in [0, 1), is exact given x / rho,
+        # which rounds as in panel_of; so is the sub-panel's index
+        s = x / self.rho
+        s -= panel
+        s *= _SUB_PANELS
+        sub = s.astype(np.intp)
+        s -= sub
+        s *= 2.0
+        s -= 1.0
+        sub += row_of[panel]
+        return _clenshaw(self.series, sub, s)
 
 
 @functools.lru_cache(maxsize=1)
@@ -285,8 +374,10 @@ def _kernel(p: GshParams, sigma: float, quad: QuadratureSpec) -> _Kernel:
 
 
 def shrink_array(d, rule: ShrinkageRule) -> np.ndarray:
-    """Vectorised posterior mean; the workhorse behind shrink."""
+    """Vectorised posterior mean; the workhorse behind shrink.  Raises
+    ValueError, naming the first one, on coefficients that are not finite."""
     d = np.asarray(d, dtype=float)
+    require_finite(d, "coefficients")
     alpha = rule.prior.alpha
     if alpha == 1.0:
         return np.zeros_like(d)
@@ -309,7 +400,5 @@ def shrink_array(d, rule: ShrinkageRule) -> np.ndarray:
 
 def shrink(d: float, rule: ShrinkageRule) -> float:
     """Posterior mean E(theta | d) for a single coefficient."""
-    if not np.isfinite(d):
-        raise ValueError(f"coefficient must be finite, got {d!r}")
     return float(shrink_array(np.array([d]), rule)[0])
 

@@ -88,6 +88,24 @@ class TestSureThreshold:
         d = np.array([0.5, -2.0])
         np.testing.assert_array_equal(sure_threshold(d, 0.0), d)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_threshold_from_unique_candidates(self, seed):
+        # the candidates are the distinct standardised magnitudes up to the
+        # cap, with zero and the cap; ties and repeated zeros are common on
+        # quantised data
+        d = np.round(sample_normal(SeededRng(seed), 0.0, 2.0, 300), 1)
+        d[:20] = 0.0
+        x = np.abs(d) / 1.3
+        cap = np.sqrt(2.0 * np.log(x.size))
+        candidates = np.unique(np.concatenate([[0.0, cap], x[x <= cap]]))
+        xs = np.sort(x)
+        counts = np.searchsorted(xs, candidates, side="right")
+        sq_prefix = np.concatenate([[0.0], np.cumsum(xs * xs)])
+        risk = x.size - 2.0 * counts + sq_prefix[counts] + (x.size - counts) * candidates**2
+        lam = candidates[int(np.argmin(risk))] * 1.3
+        np.testing.assert_array_equal(sure_threshold(d, 1.3),
+                                      np.sign(d) * np.maximum(np.abs(d) - lam, 0.0))
+
 
 class TestDenoise:
     def test_constant_signal_passes_through(self):
@@ -109,6 +127,16 @@ class TestDenoise:
         plus = denoise(sample.y, method, FAST_CFG)
         minus = denoise(-sample.y, method, FAST_CFG)
         np.testing.assert_allclose(minus, -plus, atol=1e-9)
+
+    @pytest.mark.parametrize("method",
+                             ["gsh", "universal_hard", "universal_soft", "sure"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_rejected(self, method, bad):
+        y = make_noisy_sample("doppler", 512, 5.0, 1.4, SeededRng(7)).y
+        y[300] = bad
+        y[400] = np.nan
+        with pytest.raises(ValueError, match=r"index 300 is"):
+            denoise(y, method, FAST_CFG)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,8 @@ from conftest import refs
 from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
 from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
                                  TRAPEZOID_ORACLE, gaussian_quad_nodes)
-from gsh_shrink.shrinkage import (_TABLE_NODES, _Z_DIRECT, ShrinkageRule, _kernel,
-                                  shrink, shrink_array)
+from gsh_shrink.shrinkage import (_TABLE_NODES, _Z_DIRECT, ShrinkageRule, _clenshaw,
+                                  _kernel, shrink, shrink_array)
 
 GH64 = QuadratureSpec(node_count=64)
 
@@ -42,6 +42,17 @@ class TestBasics:
             shrink(float("nan"), rule)
         with pytest.raises(ValueError):
             shrink(float("inf"), rule)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_array_rejected(self, bad):
+        for alpha in (0.9, 1.0):
+            rule = make_rule(alpha=alpha)
+            with pytest.raises(ValueError, match=r"index 1 is"):
+                shrink_array([1.0, bad, np.inf], rule)
+            d = np.zeros((3, 50))
+            d[2, 7] = bad
+            with pytest.raises(ValueError, match=r"index \(2, 7\) is"):
+                shrink_array(d, rule)
 
     def test_empty_input(self):
         for alpha in (0.9, 1.0):
@@ -333,6 +344,67 @@ class TestPanelTables:
         assert np.array_equal(shrink_array(d, rule), shrink_array(d, rule))
 
 
+def real_clenshaw(coefs, s):
+    """sum_k coefs[k] T_k(s) for a real (terms, points) array, by the
+    textbook recurrence."""
+    b1 = b2 = np.zeros_like(s)
+    for c in coefs[:0:-1]:
+        b1, b2 = c + 2.0 * s * b1 - b2, b1
+    return coefs[0] + s * b1 - b2
+
+
+class TestSubPanelSeries:
+    """Each panel's 20-term series is re-expanded on 8 sub-panels as 9-term
+    series, evaluated for I0 and J at once by one complex recurrence."""
+
+    T_BOX = [-np.pi + 1e-3, -3.139, -3.0, 0.0, 3.0, 10.0, 50.0]
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
+    @pytest.mark.parametrize("t", T_BOX)
+    def test_matches_the_wide_series(self, t, quad):
+        # delta from the sub-panel series against delta from the panel's
+        # 20-term series, summed here, at every tabled coefficient
+        cases = 0
+        for ratio in (0.1, 1.0, 10.0):
+            for alpha in (0.0, 0.9):
+                rule = make_rule(alpha=alpha, tau=TestPanelTables.SIGMA / ratio, t=t,
+                                 sigma=TestPanelTables.SIGMA, quad=quad)
+                kernel = _kernel(rule.prior.gsh, rule.sigma, rule.quad)
+                d = TestPanelTables().dense_input(rule, seed=round(10 * ratio))
+                tables = kernel.tables(d)
+                if tables is None:
+                    # the log-space branch throughout, or no panel dense enough
+                    continue
+                cases += 1
+                got = shrink_array(d, rule)
+                count, row_of = tables
+                mag = np.abs(d)
+                panel = kernel.panel_of(mag, count)
+                tabled = row_of[panel] >= 0
+                mag, panel = mag[tabled], panel[tabled]
+                wide = {g: kernel.panel_series(g) for g in np.unique(panel // kernel.group)}
+                coefs = np.stack([wide[p // kernel.group][p % kernel.group] for p in panel], axis=-1)
+                s = 2.0 * mag / kernel.rho - (2.0 * panel + 1.0)
+                i0, j = real_clenshaw(coefs[:, 0], s), real_clenshaw(coefs[:, 1], s)
+                ref = np.sign(d[tabled]) * kernel.posterior_mean(mag, i0, j, alpha)
+                np.testing.assert_allclose(got[tabled], ref, rtol=0.0,
+                                           atol=1e-12 * rule.sigma,
+                                           err_msg=f"sigma/tau={ratio} alpha={alpha}")
+        assert cases >= 4
+
+    @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 3.0])
+    def test_complex_recurrence_is_two_real_ones(self, t):
+        rule = make_rule(t=t, sigma=1.5, quad=PIPELINE_QUAD)
+        shrink_array(TestPanelTables().dense_input(rule, seed=6), rule)
+        series = _kernel(rule.prior.gsh, rule.sigma, rule.quad).series
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, series.shape[1], 5000)
+        s = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 4997)])
+        sums = _clenshaw(series, rows, s)
+        assert np.array_equal(sums.real, real_clenshaw(series.real[:, rows], s))
+        assert np.array_equal(sums.imag, real_clenshaw(series.imag[:, rows], s))
+
+
 class TestKernelCache:
     """One kernel per (slab, sigma, quadrature), kept for the next call: its
     tables are built in whole aligned groups, so no result depends on what
@@ -362,22 +434,35 @@ class TestKernelCache:
         assert (info.misses, info.hits, info.maxsize) == (1, 3, 1)
 
 
-def test_pipeline_leaves_numpy_ma_unloaded():
-    # numpy.ma costs about 1 MB on import; nothing on the denoise and risk
-    # paths needs it
+def loads_numpy_ma(calls: str) -> bool:
+    """Whether numpy.ma is imported after the given calls, in a fresh
+    interpreter with y a noisy 4096-point sine."""
     code = ("import sys, numpy as np; "
             "from gsh_shrink import denoise_detailed; "
             "from gsh_shrink.risk_analysis import default_risk_grid, risk_curve; "
             "from gsh_shrink.shrinkage import ShrinkageRule; "
             "from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior; "
             "y = np.sin(np.linspace(0, 20, 4096)) + np.random.default_rng(1).normal(0, 0.3, 4096); "
-            "denoise_detailed(y, 'gsh'); "
-            "risk_curve(default_risk_grid(), ShrinkageRule(ShrinkagePrior(0.9, GshParams.make(1.0, -3.0)), 1.0)); "
+            f"{calls}; "
             "print('numpy.ma' in sys.modules)")
     path = str(Path(gsh_shrink.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_pipeline_leaves_numpy_ma_unloaded():
+    # numpy.ma costs about 1 MB on import; nothing on the denoise and risk
+    # paths needs it
+    assert not loads_numpy_ma(
+        "denoise_detailed(y, 'gsh'); "
+        "risk_curve(default_risk_grid(), "
+        "ShrinkageRule(ShrinkagePrior(0.9, GshParams.make(1.0, -3.0)), 1.0))")
+
+
+def test_baselines_leave_numpy_ma_unloaded():
+    assert not loads_numpy_ma("; ".join(f"denoise_detailed(y, {m!r})" for m in
+                                        ("universal_hard", "universal_soft", "sure")))
 
 
 @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
