@@ -94,18 +94,19 @@ class ShrinkagePrior:
 
 
 def gsh_log_density(theta, p: GshParams):
-    """log g(theta); overflow-safe for |c2*theta/tau| up to ~700.
+    """log g(theta), finite wherever z = c2 theta / tau is.
 
-    The denominator log is computed as 2*max(z, 0) + log1p(2a e^{-|z|} +
-    e^{-2|z|}).  The log1p argument stays above -1 because the denominator
-    equals (e^z + a)^2 + (1 - a^2) > 0 when |a| <= 1 and is a sum of
-    positive terms when a >= 1.
+    With e = exp(-|z|), the density is (c1/tau) e / ((1 - e)^2 + 2(1 + a) e),
+    so log g = log(c1/tau) - |z| - log((1 - e)^2 + 2(1 + a) e).  The last
+    log's argument is a sum of two terms that are never negative, with 1 - e
+    taken by expm1 and 1 + a = 2 cos^2(t/2) for t < 0, so nothing cancels as
+    t -> -pi or z -> 0, and nothing overflows as |z| grows.
     """
     th = np.asarray(theta, dtype=float)
-    z = p.c2 * th / p.tau
-    e = np.exp(-np.abs(z))
-    log_den = 2.0 * np.maximum(z, 0.0) + np.log1p((2.0 * p.a + e) * e)
-    out = np.log(p.c1 / p.tau) + z - log_den
+    z = np.abs(th) * (p.c2 / p.tau)
+    e = np.exp(-z)
+    one_plus_a = 2.0 * np.cos(p.t / 2.0) ** 2 if p.t <= -T_LOGISTIC_EPS else 1.0 + p.a
+    out = np.log(p.c1 / p.tau) - z - np.log(np.expm1(-z) ** 2 + 2.0 * one_plus_a * e)
     return out if out.ndim else float(out)
 
 

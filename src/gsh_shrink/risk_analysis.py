@@ -55,9 +55,10 @@ def rule_moments(theta, rule: ShrinkageRule):
 
     Computes m1 = E[delta(d)] and m2 = E[delta(d)^2] over d ~ N(theta,
     sigma^2) with the outer quadrature DEFAULT_MOMENT_QUAD; theta may be a
-    scalar or an array.
+    scalar or an array of any shape, and the three outputs take its shape.
     """
-    th = np.atleast_1d(np.asarray(theta, dtype=float))
+    shape = np.shape(theta)
+    th = np.asarray(theta, dtype=float).ravel()
     u, v = gaussian_quad_nodes(DEFAULT_MOMENT_QUAD)
     d = th[:, None] + rule.sigma * u[None, :]
     delta = shrink_array(d, rule)
@@ -66,9 +67,9 @@ def rule_moments(theta, rule: ShrinkageRule):
     bias_sq = (m1 - th) ** 2
     variance = np.maximum(m2 - m1 * m1, 0.0)
     risk = bias_sq + variance
-    if np.ndim(theta) == 0:
+    if not shape:
         return float(bias_sq[0]), float(variance[0]), float(risk[0])
-    return bias_sq, variance, risk
+    return bias_sq.reshape(shape), variance.reshape(shape), risk.reshape(shape)
 
 
 def risk_curve(grid, rule: ShrinkageRule) -> RiskCurve:

@@ -38,10 +38,28 @@ panel.  Each tabled coefficient then takes one complex Clenshaw sum of 9
 terms, which has the bits of the two real ones, and the exact point mass
 instead of a pass over the quadrature nodes.  That pays off only for
 quadratures with many nodes (the trapezoid rules), so Gauss-Hermite rules of
-up to 119 nodes never build tables.  Sparse panels, the log-space region and
-inputs of at most 20 coefficients are evaluated directly.  The series
-interpolate I0 and J, not delta: the denominator of delta has complex zeros
-near the real axis, which a table of delta misses.
+up to 119 nodes never build tables.  Every coefficient of a chunk is looked
+up; those whose panel has no table (sparse panels, the log-space region)
+read a constant series there and are then evaluated directly, as are inputs
+of at most 20 coefficients.  The series interpolate I0 and J, not delta: the
+denominator of delta has complex zeros near the real axis, which a table of
+delta misses.
+
+Far panels.  For t < 0 the poles of I0 and J sit at Re d = -sigma u_i, so
+within X0 = sigma max|u| of the origin.  Past X0 the sums are analytic in a
+disc that grows with |d| - X0, so panels may widen there: beyond x1, the first
+multiple of rho at least X0 + W/1.6, panels are W = max(rho, 2/k) wide.  The
+first far panel's centre is then 2.25 half-widths from the nearest pole, so
+its 20-term series decays like 4.3^-k, and its sub-panels' edge lies 10
+sub-panel half-widths from the pole, so their 9-term series decay like
+20^-k; farther panels do better.  Across a panel I0 changes by about e^{kW},
+which W = 2/k holds at e^2.  Only for t < 2 - pi is 2/k wider than rho;
+elsewhere there is no far zone.  One panel coordinate serves counting, table
+nodes and lookup: |d|/rho up to x1 and n1 + (|d| - x1)/W beyond, with
+n1 = x1/rho, so near panels keep their bits.  At t = -3, sigma = tau = 1 and
+a 513-node trapezoid, x1 = 12.4, and the 223 rho-panels between it and 71
+become 16; at the clamp with sigma/tau = 10, panels out to 100 sigma number
+about 5 850 instead of 45 760.
 
 One kernel, kept.  Apart from alpha, which enters only the final ratio,
 the sums depend on the slab, sigma and the quadrature alone.  A kernel per
@@ -91,6 +109,10 @@ _MIN_QUAD_NODES_PER_TABLE_NODE = 6
 #: Most panels counted per call; coefficients beyond them are evaluated
 #: directly.
 _MAX_PANELS = 16_384
+
+#: The far zone starts at least W/_FAR_MARGIN past the last pole of the
+#: quadrature sums, 10 sub-panel half-widths.
+_FAR_MARGIN = 1.6
 
 #: Largest |z| = k |d + sigma u| at which slab weights are evaluated directly.
 _Z_DIRECT = 600.0
@@ -194,17 +216,27 @@ class _Kernel:
         # distance of the slab's poles from the real axis: I0 and J are
         # analytic in a strip of this half-width, which is the panel width
         self.rho = (np.pi - abs(p.t) if p.t < 0.0 else np.pi) / k
+        # the far zone: past x1 = n1 rho, panels are width wide.  Only for
+        # t < 2 - pi is 2/k wider than rho; otherwise x1 is infinite
+        self.width = max(self.rho, 2.0 / k)
+        self.n1 = np.inf
+        if self.width > self.rho:
+            self.n1 = np.ceil((sigma * self.u_reach + self.width / _FAR_MARGIN) / self.rho)
+        self.x1 = self.n1 * self.rho
         # panels whose every node argument stays on the direct branch
-        reach = (_Z_DIRECT / k - sigma * self.u_reach) / self.rho
+        reach = self.coordinate(np.array([_Z_DIRECT / k - sigma * self.u_reach]))[0]
         self.max_panels = int(min(max(reach, 0.0), _MAX_PANELS))
         # tables are built and kept in aligned groups of this many panels,
         # always whole, so a panel's series has the same bits in every call.
         # The sub-panel series of every group built so far sit side by side
         # in one complex array, group slot after group slot, I0 in the real
-        # part and J in the imaginary part
+        # part and J in the imaginary part.  They follow _SUB_PANELS columns
+        # of the constant series 1, which coefficients without a table read,
+        # so that every lookup is finite
         self.group = max(1, self.block // _TABLE_NODES)
         self.slot_of: dict[int, int] = {}
-        self.series = np.zeros((_SUB_NODES, 0), dtype=complex)
+        self.series = np.zeros((_SUB_NODES, _SUB_PANELS), dtype=complex)
+        self.series[0] = 1.0
 
     def integrals(self, x: np.ndarray) -> np.ndarray:
         """(I0, J) at each x on the direct branch, as an (x.size, 2) array.
@@ -235,7 +267,8 @@ class _Kernel:
         out = np.empty_like(mag)
         for start in range(0, mag.size, self.block):
             dj = mag[start:start + self.block]
-            if self.k * (dj.max(initial=0.0) + self.sigma * self.u_reach) < _Z_DIRECT:
+            # a Python float product overflows to inf without a warning
+            if self.k * float(dj.max(initial=0.0) + self.sigma * self.u_reach) < _Z_DIRECT:
                 integrals = self.integrals(dj)
                 out[start:start + self.block] = self.posterior_mean(
                     dj, integrals[:, 0], integrals[:, 1], alpha)
@@ -252,34 +285,51 @@ class _Kernel:
     def log_space(self, dj: np.ndarray, alpha: float) -> np.ndarray:
         """delta at each |d| in log space with a max shift: for extreme
         coefficients the raw terms underflow while the ratio stays well
-        conditioned."""
+        conditioned.  delta is taken as the slab's posterior weight times
+        |d| + sigma E[u | d], so no sum grows past |d|."""
         sigma = self.sigma
-        arg = dj[:, None] + sigma * self.u[None, :]
-        s = gsh_log_density(arg, self.p) + self.log_v[None, :]
+        s = gsh_log_density(dj[:, None] + sigma * self.u[None, :], self.p)
+        s += self.log_v[None, :]
         shift = s.max(axis=1, keepdims=True)
-        w = np.exp(s - shift)
+        s -= shift
+        w = np.exp(s, out=s)
         den = w.sum(axis=1)
-        num = (w * arg).sum(axis=1)
+        mean_u = (w @ self.u) / den
+        slab = (1.0 - alpha) * den
         if alpha > 0.0:
-            log_point = (
-                np.log(alpha) - np.log(sigma)
-                - 0.5 * (dj / sigma) ** 2 - 0.5 * np.log(2.0 * np.pi)
-            )
+            # beyond |d| = 1e154 sigma the square overflows, and the point
+            # mass is 0 as it should be
+            with np.errstate(over="ignore"):
+                log_point = (
+                    np.log(alpha) - np.log(sigma)
+                    - 0.5 * (dj / sigma) ** 2 - 0.5 * np.log(2.0 * np.pi)
+                )
             point = np.exp(log_point - shift[:, 0])
         else:
             point = 0.0
-        return (1.0 - alpha) * num / (point + (1.0 - alpha) * den)
+        return slab / (point + slab) * (dj + sigma * mean_u)
 
-    def panel_of(self, mag: np.ndarray, count: int) -> np.ndarray:
-        """Panel index of each |d|; count for any beyond the first count."""
-        return np.fmin(mag / self.rho, count).astype(np.intp)
+    def coordinate(self, mag: np.ndarray) -> np.ndarray:
+        """The panel coordinate of each |d|: |d|/rho up to x1 and n1 + (|d| -
+        x1)/width beyond, so panel p spans [p, p + 1)."""
+        c = mag / self.rho
+        if self.x1 < np.inf and mag.max(initial=0.0) > self.x1:
+            far = mag - self.x1
+            far /= self.width
+            far += self.n1
+            c = np.where(mag > self.x1, far, c)
+        return c
 
     def panel_series(self, g: int) -> np.ndarray:
         """Chebyshev coefficients of the panels of group g: a (panels, nodes,
-        2) array, the series of I0 and J in s = 2|d|/rho - (2 panel + 1),
+        2) array, the series of I0 and J in s = 2 (coordinate - panel) - 1,
         which spans [-1, 1]."""
         part = np.arange(g * self.group, min((g + 1) * self.group, self.max_panels))
-        nodes = (part[:, None] + 0.5 + 0.5 * _CHEB_POINTS) * self.rho
+        c = part[:, None] + 0.5 + 0.5 * _CHEB_POINTS
+        nodes = c * self.rho
+        if part[-1] >= self.n1:
+            nodes = np.where(part[:, None] >= self.n1,
+                             self.x1 + (c - self.n1) * self.width, nodes)
         values = self.integrals(nodes.ravel()).reshape(part.size, _TABLE_NODES, 2)
         return _CHEB_TRANSFORM @ values
 
@@ -299,71 +349,66 @@ class _Kernel:
         get the next free slots, filled with their sub-panel series."""
         new = [g for g in groups if g not in self.slot_of]
         if new:
-            width = self.group * _SUB_PANELS
+            span = self.group * _SUB_PANELS
             kept = self.series.shape[1]
-            grown = np.zeros((_SUB_NODES, kept + len(new) * width), dtype=complex)
+            grown = np.zeros((_SUB_NODES, kept + len(new) * span), dtype=complex)
             grown[:, :kept] = self.series
             self.series = grown
             for g in new:
                 slot = self.slot_of[g] = len(self.slot_of)
                 series = self.sub_panel_series(g)
-                grown[:, slot * width:slot * width + series.shape[1]] = series
+                first = _SUB_PANELS + slot * span
+                grown[:, first:first + series.shape[1]] = series
         return np.array([self.slot_of[g] for g in groups], dtype=np.intp)
 
     def tables(self, flat: np.ndarray):
-        """(panel count, panel -> first column of its sub-panels in
-        self.series) for the panels that hold more coefficients than a table
-        has nodes, or None."""
+        """(panel count, sub-panel -> its column in self.series), when some
+        panel holds more coefficients than a table has nodes; else None.
+        Sub-panel m of panel p is entry _SUB_PANELS * p + m, and the
+        sub-panels of panels without a table map to the constant columns."""
         if (not self.direct_reachable or flat.size <= _TABLE_NODES
                 or self.u.size < _MIN_QUAD_NODES_PER_TABLE_NODE * _TABLE_NODES):
             return None
         top = max(flat.max(initial=0.0), -flat.min(initial=0.0))
-        count = int(min(self.max_panels, top / self.rho + 1.0))
+        count = int(min(self.max_panels, self.coordinate(np.array([top]))[0] + 1.0))
         if count <= 0:
             return None
         held = np.zeros(count + 1, dtype=np.intp)
         for start in range(0, flat.size, _CHUNK):
-            mag = np.abs(flat[start:start + _CHUNK])
-            held += np.bincount(self.panel_of(mag, count), minlength=count + 1)
+            c = self.coordinate(np.abs(flat[start:start + _CHUNK]))
+            held += np.bincount(np.fmin(c, count, out=c).astype(np.intp),
+                                minlength=count + 1)
         panels = np.flatnonzero(held[:count] > _TABLE_NODES)
         if panels.size == 0:
             return None
         group_of = panels // self.group
         used = np.flatnonzero(np.bincount(group_of))
         slots = self.slots(used.tolist())
-        row_of = np.full(count + 1, -1, dtype=np.intp)
-        row_of[panels] = _SUB_PANELS * (slots[np.searchsorted(used, group_of)] * self.group
-                                        + panels % self.group)
-        return count, row_of
+        first = np.zeros(count + 1, dtype=np.intp)
+        first[panels] = _SUB_PANELS * (1 + slots[np.searchsorted(used, group_of)] * self.group
+                                       + panels % self.group)
+        return count, (first[:, None] + np.arange(_SUB_PANELS)).ravel()
 
     def tabled(self, mag: np.ndarray, tables, alpha: float) -> np.ndarray:
-        """delta at each |d|: from its sub-panel's series where its panel has
-        a table, and directly elsewhere."""
-        count, row_of = tables
-        panel = self.panel_of(mag, count)
-        hit = row_of[panel] >= 0
-        out = np.empty_like(mag)
-        rest = ~hit
-        out[rest] = self.direct(mag[rest], alpha)
-        x, panel = mag[hit], panel[hit]
-        sums = self.sub_panel_sums(x, panel, row_of)
-        out[hit] = self.posterior_mean(x, sums.real, sums.imag, alpha)
+        """delta at each |d|: every |d| is looked up in its sub-panel's series,
+        and those whose panel has no table are then evaluated directly."""
+        count, column_of = tables
+        # _SUB_PANELS times the coordinate is exact, and so are its floor, the
+        # sub-panel, and the position within it; coefficients beyond the last
+        # panel read sub-panel 0 of panel count at s = -1
+        c = np.fmin(self.coordinate(mag), count)
+        c *= _SUB_PANELS
+        sub = np.floor(c)
+        c -= sub
+        c *= 2.0
+        c -= 1.0
+        columns = column_of.take(sub.astype(np.intp))
+        sums = _clenshaw(self.series, columns, c)
+        out = self.posterior_mean(mag, sums.real, sums.imag, alpha)
+        miss = np.flatnonzero(columns < _SUB_PANELS)
+        if miss.size:
+            out[miss] = self.direct(mag[miss], alpha)
         return out
-
-    def sub_panel_sums(self, x: np.ndarray, panel: np.ndarray, row_of) -> np.ndarray:
-        """I0 + iJ at each |d| = x of a tabled panel, from its sub-panel's
-        series."""
-        # the position within the panel, in [0, 1), is exact given x / rho,
-        # which rounds as in panel_of; so is the sub-panel's index
-        s = x / self.rho
-        s -= panel
-        s *= _SUB_PANELS
-        sub = s.astype(np.intp)
-        s -= sub
-        s *= 2.0
-        s -= 1.0
-        sub += row_of[panel]
-        return _clenshaw(self.series, sub, s)
 
 
 @functools.lru_cache(maxsize=1)
@@ -392,9 +437,8 @@ def shrink_array(d, rule: ShrinkageRule) -> np.ndarray:
             else kernel.tabled(mag, tables, alpha)
         # the rule is odd; the numerator integrand is odd at d = 0, so the
         # posterior mean is exactly zero there: pin it to avoid rounding residue
-        delta *= np.sign(dj)
-        delta[dj == 0.0] = 0.0
-        out[start:start + _CHUNK] = delta
+        part = np.multiply(delta, np.sign(dj), out=out[start:start + _CHUNK])
+        part[dj == 0.0] = 0.0
     return out.reshape(d.shape)
 
 

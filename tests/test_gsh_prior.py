@@ -123,6 +123,23 @@ class TestDensity:
         assert np.isfinite(val)
         assert val == pytest.approx(math.log(p.c1) - p.c2 * 300.0, rel=1e-12)
 
+    @pytest.mark.parametrize("t", T_CLOSED_FORM)
+    @pytest.mark.parametrize("tau", TAU_GRID)
+    def test_log_density_matches_oracle(self, t, tau):
+        p = GshParams.make(tau, t)
+        theta = tau * np.concatenate([np.linspace(-200.0, 200.0, 801),
+                                      np.linspace(-1.0, 1.0, 201),
+                                      [-1e-9, 1e-9, 1e5, -1e300]])
+        ref = refs.gsh_log_density(theta, tau, t)
+        np.testing.assert_allclose(gsh_log_density(theta, p), ref, rtol=1e-12, atol=0.0)
+
+    def test_log_density_of_the_largest_doubles(self):
+        # 2 max(z, 0) overflowed to inf here, and log g came out -inf or NaN
+        p = GshParams.make(1.0, -3.0)
+        theta = np.array([1.7e308, -1.7e308])
+        np.testing.assert_allclose(gsh_log_density(theta, p),
+                                   math.log(p.c1) - p.c2 * 1.7e308, rtol=1e-15)
+
 
 class TestKurtosis:
     def test_logistic_value(self):

@@ -46,6 +46,17 @@ class TestRuleMoments:
         assert bias_sq.shape == (3,)
         np.testing.assert_allclose(risk, bias_sq + variance, atol=1e-12)
 
+    def test_matrix_input_keeps_its_shape(self):
+        # a 2-D theta raised a broadcasting error; each output now has its
+        # shape and the values of the flat call
+        theta = np.linspace(-4.0, 4.0, 12).reshape(3, 4)
+        rule = make_rule(t=-3.0)
+        flat = rule_moments(theta.ravel(), rule)
+        for got, want in zip(rule_moments(theta, rule), flat):
+            assert got.shape == (3, 4)
+            assert np.array_equal(got.ravel(), want)
+        assert [x.shape for x in rule_moments(np.zeros((2, 0)), rule)] == [(2, 0)] * 3
+
 
 class TestRiskCurve:
     def test_even_functions_on_symmetric_grid(self):

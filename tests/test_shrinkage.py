@@ -15,8 +15,8 @@ from conftest import refs
 from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
 from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
                                  TRAPEZOID_ORACLE, gaussian_quad_nodes)
-from gsh_shrink.shrinkage import (_TABLE_NODES, _Z_DIRECT, ShrinkageRule, _clenshaw,
-                                  _kernel, shrink, shrink_array)
+from gsh_shrink.shrinkage import (_MAX_PANELS, _SUB_PANELS, _TABLE_NODES, _Z_DIRECT,
+                                  ShrinkageRule, _clenshaw, _kernel, shrink, shrink_array)
 
 GH64 = QuadratureSpec(node_count=64)
 
@@ -69,6 +69,19 @@ class TestBasics:
         val = shrink(100.0, rule)
         assert np.isfinite(val)
         assert 90.0 < val <= 100.0
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
+                             ids=["pipeline", "dense", "gh64"])
+    def test_largest_doubles_stay_finite(self, quad):
+        # the log density overflowed at |d| = 1.7e308 and delta came out NaN
+        rule = make_rule(alpha=0.9, tau=1.0, t=-3.0, sigma=1.0, quad=quad)
+        d = np.array([1.7e308, -1.7e308, 1e200, -1e154, 1e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = shrink_array(d, rule)
+        assert np.all(np.isfinite(out))
+        assert np.all(np.abs(out) <= np.abs(d))
+        assert np.array_equal(np.sign(out), np.sign(d))
 
     def test_direct_and_shifted_paths_agree_at_crossover(self):
         # the evaluator switches from direct density evaluation to the
@@ -283,12 +296,19 @@ class TestPanelTables:
 
     def dense_input(self, rule, seed):
         """Uniform |d| <= 8 sigma, PER_PANEL a pole-width panel on average
-        (at most MOST), then TestCoshFormReference's sinh grid out to 100 sigma."""
+        (at most MOST); where far panels 2 tau/c2 wide exist (t < 2 - pi), a
+        uniform band |d| <= 100 sigma, PER_PANEL a far panel on average;
+        then TestCoshFormReference's sinh grid out to 100 sigma."""
         p = rule.prior.gsh
         rho = refs.pole_distance(p.tau, p.t)
+        width = 2.0 * p.tau / refs.gsh_constants(p.t)[3]
+        rng = np.random.default_rng(seed)
         n = min(self.MOST, int(self.PER_PANEL * 8.0 * rule.sigma / rho) + 1)
-        uniform = np.random.default_rng(seed).uniform(-8.0, 8.0, n)
-        return rule.sigma * np.concatenate([uniform, TestCoshFormReference.D_UNIT.ravel()])
+        parts = [rng.uniform(-8.0, 8.0, n)]
+        if width > rho:
+            n = min(self.MOST, int(self.PER_PANEL * 100.0 * rule.sigma / width) + 1)
+            parts.append(rng.uniform(-100.0, 100.0, n))
+        return rule.sigma * np.concatenate(parts + [TestCoshFormReference.D_UNIT.ravel()])
 
     @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
     @pytest.mark.parametrize("t", T_BOX)
@@ -319,6 +339,28 @@ class TestPanelTables:
         rule = make_rule(alpha=0.9, tau=self.SIGMA, t=t, sigma=self.SIGMA, quad=quad)
         d = self.dense_input(rule, seed=2)
         assert np.array_equal(shrink_array(-d, rule), -shrink_array(d, rule))
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
+    def test_every_dense_panel_has_a_table(self, quad):
+        # at the clamp with sigma/tau = 10, rho-wide panels out to 100 sigma
+        # number 45 760, past _MAX_PANELS, so coefficients beyond about 36
+        # sigma could not be tabled; with far panels past x1 the panels
+        # number 5 847 (6 762 under the dense rule), and every panel that
+        # holds more coefficients than a table has nodes gets a table
+        rule = make_rule(alpha=0.9, tau=self.SIGMA / 10.0, t=-np.pi + 1e-3,
+                         sigma=self.SIGMA, quad=quad)
+        kernel = _kernel(rule.prior.gsh, rule.sigma, rule.quad)
+        d = self.dense_input(rule, seed=8)
+        top = np.abs(d).max()
+        assert top == pytest.approx(100.0 * self.SIGMA)
+        assert top / kernel.rho > _MAX_PANELS
+        count, column_of = kernel.tables(d)
+        c = kernel.coordinate(np.abs(d))
+        assert c.max() < count <= _MAX_PANELS
+        held = np.bincount(c.astype(np.intp))
+        dense = np.flatnonzero(held > _TABLE_NODES)
+        assert dense.max() >= kernel.n1
+        assert np.all(column_of[_SUB_PANELS * dense] >= _SUB_PANELS)
 
     def test_sign_defects_are_kept(self):
         # where the quadrature itself returns the wrong sign, the kernel must
@@ -363,8 +405,10 @@ class TestSubPanelSeries:
     @pytest.mark.parametrize("t", T_BOX)
     def test_matches_the_wide_series(self, t, quad):
         # delta from the sub-panel series against delta from the panel's
-        # 20-term series, summed here, at every tabled coefficient
-        cases = 0
+        # 20-term series, summed here, at every tabled coefficient.  The
+        # first far panel's edge lies 10 sub-panel half-widths from the last
+        # pole, not 16, so its sub-panel series decay like 20^-k
+        cases = far_cases = 0
         for ratio in (0.1, 1.0, 10.0):
             for alpha in (0.0, 0.9):
                 rule = make_rule(alpha=alpha, tau=TestPanelTables.SIGMA / ratio, t=t,
@@ -377,20 +421,26 @@ class TestSubPanelSeries:
                     continue
                 cases += 1
                 got = shrink_array(d, rule)
-                count, row_of = tables
+                count, column_of = tables
                 mag = np.abs(d)
-                panel = kernel.panel_of(mag, count)
-                tabled = row_of[panel] >= 0
-                mag, panel = mag[tabled], panel[tabled]
+                c = np.fmin(kernel.coordinate(mag), count)
+                panel = c.astype(np.intp)
+                tabled = column_of[_SUB_PANELS * panel] >= _SUB_PANELS
+                mag, c, panel = mag[tabled], c[tabled], panel[tabled]
+                if kernel.x1 + kernel.width <= 100.0 * rule.sigma:
+                    # a whole far panel lies inside the input's band
+                    assert np.any(panel >= kernel.n1), f"sigma/tau={ratio}: no far table"
+                    far_cases += 1
                 wide = {g: kernel.panel_series(g) for g in np.unique(panel // kernel.group)}
                 coefs = np.stack([wide[p // kernel.group][p % kernel.group] for p in panel], axis=-1)
-                s = 2.0 * mag / kernel.rho - (2.0 * panel + 1.0)
+                s = 2.0 * (c - panel) - 1.0
                 i0, j = real_clenshaw(coefs[:, 0], s), real_clenshaw(coefs[:, 1], s)
                 ref = np.sign(d[tabled]) * kernel.posterior_mean(mag, i0, j, alpha)
                 np.testing.assert_allclose(got[tabled], ref, rtol=0.0,
                                            atol=1e-12 * rule.sigma,
                                            err_msg=f"sigma/tau={ratio} alpha={alpha}")
         assert cases >= 4
+        assert far_cases >= (4 if t < 2.0 - np.pi else 0)
 
     @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 3.0])
     def test_complex_recurrence_is_two_real_ones(self, t):
