@@ -175,16 +175,21 @@ def denoise_detailed(y, method: str, cfg: ExperimentConfig | None = None) -> Den
     require_finite(y, "samples")
     filt = daubechies_filter(cfg.vanishing_moments)
     decomp = forward(y, filt, cfg.elicitation.primary_level)
-    sigma_hat = estimate_sigma(decomp.finest_detail)
     levels = decomp.levels
 
-    estimated: dict[int, np.ndarray]
     hyper = None
     if method == GSH:
         try:
-            hyper = None if sigma_hat == 0.0 else elicit_all(decomp, cfg.elicitation)
+            hyper = elicit_all(decomp, cfg.elicitation)
         except DegenerateInputError:
             pass
+    # the elicitation has already taken the MAD scale of the finest level
+    sigma_hat = estimate_sigma(decomp.finest_detail) if hyper is None else hyper.sigma_hat
+    if sigma_hat == 0.0:
+        hyper = None
+
+    estimated: dict[int, np.ndarray]
+    if method == GSH:
         if hyper is None:
             estimated = {j: decomp.details[j].copy() for j in levels}
         else:

@@ -27,23 +27,24 @@ for t < 0 and pi tau/c2 otherwise.  So |d| is cut into panels rho wide,
 anchored at 0, and on each panel a 20-term Chebyshev series reproduces I0
 and J to rounding level (the nearest pole lies two half-widths off the
 panel; Trefethen, Approximation Theory and Approximation Practice, 2013).
-A panel gets a table when it holds more coefficients than the table has
-nodes and the direct branch is valid across it; the table costs 20 direct
-evaluations.  One constant (72 x 20) matrix then re-expands the panel's
-series on 8 sub-panels rho/8 wide, as 9-term series: the pole lies 16
-sub-panel half-widths off, so their terms decay like 32^-k and 9 reach
-about 1e-13 of scale.  Only the sub-panel series are kept, as complex
+A panel gets a table, under every quadrature, when it holds more
+coefficients than the table has nodes and the direct branch is valid across
+it; the table costs 20 direct evaluations.  What is kept is the panel's
+series re-expanded on 8 sub-panels rho/8 wide, as 9-term series: the pole
+lies 16 sub-panel half-widths off, so their terms decay like 32^-k and 9
+reach about 1e-13 of scale.  One constant (72 x 20) matrix, the 20-point
+Chebyshev transform followed by that re-expansion, takes the sums at a
+panel's 20 Chebyshev points straight to its sub-panel series, so a group of
+panels is filled by one matrix product.  The series are kept as complex
 numbers with I0 in the real part and J in the imaginary part, 1152 bytes a
 panel.  Each tabled coefficient then takes one complex Clenshaw sum of 9
 terms, which has the bits of the two real ones, and the exact point mass
-instead of a pass over the quadrature nodes.  That pays off only for
-quadratures with many nodes (the trapezoid rules), so Gauss-Hermite rules of
-up to 119 nodes never build tables.  Every coefficient of a chunk is looked
-up; those whose panel has no table (sparse panels, the log-space region)
-read a constant series there and are then evaluated directly, as are inputs
-of at most 20 coefficients.  The series interpolate I0 and J, not delta: the
-denominator of delta has complex zeros near the real axis, which a table of
-delta misses.
+instead of a pass over the quadrature nodes.  Every coefficient of a chunk
+is looked up; those whose panel has no table (sparse panels, the log-space
+region) read a constant series there and are then evaluated directly, as
+are inputs of at most 20 coefficients.  The series interpolate I0 and J,
+not delta: the denominator of delta has complex zeros near the real axis,
+which a table of delta misses.
 
 Far panels.  For t < 0 the poles of I0 and J sit at Re d = -sigma u_i, so
 within X0 = sigma max|u| of the origin.  Past X0 the sums are analytic in a
@@ -56,10 +57,7 @@ sub-panel half-widths from the pole, so their 9-term series decay like
 which W = 2/k holds at e^2.  Only for t < 2 - pi is 2/k wider than rho;
 elsewhere there is no far zone.  One panel coordinate serves counting, table
 nodes and lookup: |d|/rho up to x1 and n1 + (|d| - x1)/W beyond, with
-n1 = x1/rho, so near panels keep their bits.  At t = -3, sigma = tau = 1 and
-a 513-node trapezoid, x1 = 12.4, and the 223 rho-panels between it and 71
-become 16; at the clamp with sigma/tau = 10, panels out to 100 sigma number
-about 5 850 instead of 45 760.
+n1 = x1/rho.
 
 One kernel, kept.  Apart from alpha, which enters only the final ratio,
 the sums depend on the slab, sigma and the quadrature alone.  A kernel per
@@ -75,9 +73,10 @@ call alone.
 
 Panels are counted and coefficients evaluated in chunks of a few thousand,
 so no temporary grows with the input.  A table's delta agrees with the
-direct evaluation within 1e-9 sigma (2.3e-10 sigma at worst, at the t
-clamp), so shrink(x), which always evaluates directly, and the same x inside
-a larger shrink_array call may differ by that much.
+direct evaluation within 1e-9 sigma (4.5e-10 sigma at worst, 32-node
+Gauss-Hermite at the t clamp), so shrink(x), which always evaluates
+directly, and the same x inside a larger shrink_array call may differ by
+that much.
 """
 from __future__ import annotations
 
@@ -99,12 +98,6 @@ _CHUNK = 4096
 
 #: Chebyshev points (of the first kind) per panel table.
 _TABLE_NODES = 20
-
-#: A table replaces one pass over the quadrature nodes per coefficient by
-#: two Clenshaw sums over the table's nodes; that pays off only with at
-#: least this many quadrature nodes per table node.  Measured, the two cost
-#: the same near 5 (96-node Gauss-Hermite); 64 nodes, at 3.2, lose.
-_MIN_QUAD_NODES_PER_TABLE_NODE = 6
 
 #: Most panels counted per call; coefficients beyond them are evaluated
 #: directly.
@@ -139,15 +132,17 @@ _CHEB_POINTS, _CHEB_TRANSFORM = _chebyshev(_TABLE_NODES)
 
 
 def _sub_expansion() -> np.ndarray:
-    """The (_SUB_PANELS * _SUB_NODES, _TABLE_NODES) matrix taking a panel's
-    series to its sub-panels' series: row _SUB_NODES * m + q gives the q-th
+    """The (_SUB_PANELS * _SUB_NODES, _TABLE_NODES) matrix taking the values
+    at a panel's Chebyshev points to its sub-panels' series: the panel's
+    20-term series, re-expanded.  Row _SUB_NODES * m + q gives the q-th
     coefficient on sub-panel m, in the sub-panel's own s on [-1, 1]."""
     points, transform = _chebyshev(_SUB_NODES)
     centres = (2.0 * np.arange(_SUB_PANELS) + 1.0) / _SUB_PANELS - 1.0
     s = centres[:, None] + points / _SUB_PANELS
     # T_k at each sub-panel's Chebyshev points, (panel, point, k)
     t_k = np.cos(np.arccos(s)[..., None] * np.arange(_TABLE_NODES))
-    return (transform @ t_k).reshape(_SUB_PANELS * _SUB_NODES, _TABLE_NODES)
+    series = (transform @ t_k).reshape(_SUB_PANELS * _SUB_NODES, _TABLE_NODES)
+    return series @ _CHEB_TRANSFORM
 
 
 _SUB_EXPANSION = _sub_expansion()
@@ -205,8 +200,7 @@ class _Kernel:
         self.k = k = p.c2 / p.tau
         self.block = max(1, _BLOCK_ELEMENTS // u.size)
         self.u_reach = float(np.abs(u).max())
-        self.direct_reachable = k * sigma * self.u_reach < _Z_DIRECT
-        if self.direct_reachable:
+        if k * sigma * self.u_reach < _Z_DIRECT:
             # node factors of the separable slab weights, and the
             # (nodes x 2) weights of I0 and J = (I1 - d I0)/sigma
             self.node_factors = np.stack([np.exp(k * sigma * u),
@@ -288,7 +282,12 @@ class _Kernel:
         conditioned.  delta is taken as the slab's posterior weight times
         |d| + sigma E[u | d], so no sum grows past |d|."""
         sigma = self.sigma
-        s = gsh_log_density(dj[:, None] + sigma * self.u[None, :], self.p)
+        # past |d| = max/(2k), k |d + sigma u| would overflow and every log
+        # weight be -inf.  So far out the weights are the exponential tail's,
+        # v e^{-k sigma u} up to a factor, whatever d, so they are taken there
+        # (a Python float quotient overflows to inf without a warning)
+        at = np.fmin(dj, float(np.finfo(float).max) / (2.0 * self.k))
+        s = gsh_log_density(at[:, None] + sigma * self.u[None, :], self.p)
         s += self.log_v[None, :]
         shift = s.max(axis=1, keepdims=True)
         s -= shift
@@ -320,10 +319,12 @@ class _Kernel:
             c = np.where(mag > self.x1, far, c)
         return c
 
-    def panel_series(self, g: int) -> np.ndarray:
-        """Chebyshev coefficients of the panels of group g: a (panels, nodes,
-        2) array, the series of I0 and J in s = 2 (coordinate - panel) - 1,
-        which spans [-1, 1]."""
+    def sub_panel_series(self, g: int) -> np.ndarray:
+        """The series of the panels of group g on their sub-panels: a
+        (sub-panel nodes, panels * _SUB_PANELS) complex array, column
+        _SUB_PANELS * p + m the series of I0 + iJ on sub-panel m of the
+        group's panel p.  The panel's own nodes are its Chebyshev points in
+        s = 2 (coordinate - panel) - 1, which spans [-1, 1]."""
         part = np.arange(g * self.group, min((g + 1) * self.group, self.max_panels))
         c = part[:, None] + 0.5 + 0.5 * _CHEB_POINTS
         nodes = c * self.rho
@@ -331,15 +332,8 @@ class _Kernel:
             nodes = np.where(part[:, None] >= self.n1,
                              self.x1 + (c - self.n1) * self.width, nodes)
         values = self.integrals(nodes.ravel()).reshape(part.size, _TABLE_NODES, 2)
-        return _CHEB_TRANSFORM @ values
-
-    def sub_panel_series(self, g: int) -> np.ndarray:
-        """The panels of group g re-expanded on their sub-panels: a (sub-panel
-        nodes, panels * _SUB_PANELS) complex array, column _SUB_PANELS * p + m
-        the series of I0 + iJ on sub-panel m of the group's panel p."""
-        wide = self.panel_series(g)
-        sub = (_SUB_EXPANSION @ wide).reshape(len(wide), _SUB_PANELS, _SUB_NODES, 2)
-        series = np.empty((_SUB_NODES, len(wide), _SUB_PANELS), dtype=complex)
+        sub = (_SUB_EXPANSION @ values).reshape(part.size, _SUB_PANELS, _SUB_NODES, 2)
+        series = np.empty((_SUB_NODES, part.size, _SUB_PANELS), dtype=complex)
         series.real = sub[..., 0].transpose(2, 0, 1)
         series.imag = sub[..., 1].transpose(2, 0, 1)
         return series.reshape(_SUB_NODES, -1)
@@ -366,12 +360,12 @@ class _Kernel:
         panel holds more coefficients than a table has nodes; else None.
         Sub-panel m of panel p is entry _SUB_PANELS * p + m, and the
         sub-panels of panels without a table map to the constant columns."""
-        if (not self.direct_reachable or flat.size <= _TABLE_NODES
-                or self.u.size < _MIN_QUAD_NODES_PER_TABLE_NODE * _TABLE_NODES):
+        if flat.size <= _TABLE_NODES:
             return None
         top = max(flat.max(initial=0.0), -flat.min(initial=0.0))
         count = int(min(self.max_panels, self.coordinate(np.array([top]))[0] + 1.0))
         if count <= 0:
+            # no panel is on the direct branch throughout: max_panels == 0
             return None
         held = np.zeros(count + 1, dtype=np.intp)
         for start in range(0, flat.size, _CHUNK):

@@ -18,6 +18,7 @@ from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
 from gsh_shrink.shrinkage import (_MAX_PANELS, _SUB_PANELS, _TABLE_NODES, _Z_DIRECT,
                                   ShrinkageRule, _clenshaw, _kernel, shrink, shrink_array)
 
+GH32 = QuadratureSpec(node_count=32)
 GH64 = QuadratureSpec(node_count=64)
 
 
@@ -73,15 +74,17 @@ class TestBasics:
     @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
                              ids=["pipeline", "dense", "gh64"])
     def test_largest_doubles_stay_finite(self, quad):
-        # the log density overflowed at |d| = 1.7e308 and delta came out NaN
-        rule = make_rule(alpha=0.9, tau=1.0, t=-3.0, sigma=1.0, quad=quad)
+        # the log density overflowed at |d| = 1.7e308 and delta came out NaN;
+        # at tau = 0.1, k |d| itself overflows and every log weight was -inf
         d = np.array([1.7e308, -1.7e308, 1e200, -1e154, 1e10])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = shrink_array(d, rule)
-        assert np.all(np.isfinite(out))
-        assert np.all(np.abs(out) <= np.abs(d))
-        assert np.array_equal(np.sign(out), np.sign(d))
+        for tau in (0.1, 1.0, 40.0):
+            rule = make_rule(alpha=0.9, tau=tau, t=-3.0, sigma=1.0, quad=quad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = shrink_array(d, rule)
+            assert np.all(np.isfinite(out)), f"tau={tau}"
+            assert np.all(np.abs(out) <= np.abs(d)), f"tau={tau}"
+            assert np.array_equal(np.sign(out), np.sign(d)), f"tau={tau}"
 
     def test_direct_and_shifted_paths_agree_at_crossover(self):
         # the evaluator switches from direct density evaluation to the
@@ -310,7 +313,8 @@ class TestPanelTables:
             parts.append(rng.uniform(-100.0, 100.0, n))
         return rule.sigma * np.concatenate(parts + [TestCoshFormReference.D_UNIT.ravel()])
 
-    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64, GH32],
+                             ids=["pipeline", "dense", "gh64", "gh32"])
     @pytest.mark.parametrize("t", T_BOX)
     def test_matches_direct_evaluation(self, t, quad):
         reach = np.abs(gaussian_quad_nodes(quad)[0]).max()
@@ -362,6 +366,14 @@ class TestPanelTables:
         assert dense.max() >= kernel.n1
         assert np.all(column_of[_SUB_PANELS * dense] >= _SUB_PANELS)
 
+    @pytest.mark.parametrize("quad", [GH64, GH32], ids=["gh64", "gh32"])
+    @pytest.mark.parametrize("t", [-np.pi + 1e-3, 0.0, 10.0])
+    def test_gauss_hermite_rules_build_tables(self, t, quad):
+        # every quadrature tables its dense panels, rules with few nodes too
+        rule = make_rule(alpha=0.9, tau=self.SIGMA, t=t, sigma=self.SIGMA, quad=quad)
+        kernel = _kernel(rule.prior.gsh, rule.sigma, rule.quad)
+        assert kernel.tables(self.dense_input(rule, seed=9)) is not None
+
     def test_sign_defects_are_kept(self):
         # where the quadrature itself returns the wrong sign, the kernel must
         # return that value, not hide it by giving delta the sign of d.
@@ -393,6 +405,22 @@ def real_clenshaw(coefs, s):
     for c in coefs[:0:-1]:
         b1, b2 = c + 2.0 * s * b1 - b2, b1
     return coefs[0] + s * b1 - b2
+
+
+def panel_series(kernel, panel):
+    """The 20-term Chebyshev series of I0 and J on one panel, a (terms, 2)
+    array in s = 2 (coordinate - panel) - 1, from the sums at the panel's
+    Chebyshev points: rho wide up to x1 and width wide beyond."""
+    angles = np.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
+    c = panel + 0.5 + 0.5 * np.cos(angles)
+    if panel < kernel.n1:
+        nodes = c * kernel.rho
+    else:
+        nodes = kernel.x1 + (c - kernel.n1) * kernel.width
+    coefs = (2.0 / _TABLE_NODES) * np.cos(np.outer(np.arange(_TABLE_NODES), angles)) \
+        @ kernel.integrals(nodes)
+    coefs[0] *= 0.5
+    return coefs
 
 
 class TestSubPanelSeries:
@@ -431,8 +459,9 @@ class TestSubPanelSeries:
                     # a whole far panel lies inside the input's band
                     assert np.any(panel >= kernel.n1), f"sigma/tau={ratio}: no far table"
                     far_cases += 1
-                wide = {g: kernel.panel_series(g) for g in np.unique(panel // kernel.group)}
-                coefs = np.stack([wide[p // kernel.group][p % kernel.group] for p in panel], axis=-1)
+                unique, index = np.unique(panel, return_inverse=True)
+                coefs = np.stack([panel_series(kernel, p) for p in unique], axis=-1)
+                coefs = coefs[..., index]
                 s = 2.0 * (c - panel) - 1.0
                 i0, j = real_clenshaw(coefs[:, 0], s), real_clenshaw(coefs[:, 1], s)
                 ref = np.sign(d[tabled]) * kernel.posterior_mean(mag, i0, j, alpha)
@@ -460,7 +489,8 @@ class TestKernelCache:
     tables are built in whole aligned groups, so no result depends on what
     the kernel evaluated before."""
 
-    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
+                             ids=["pipeline", "dense", "gh64"])
     @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 3.0])
     def test_same_bits_whatever_the_history(self, t, quad):
         rule = make_rule(alpha=0.9, t=t, sigma=1.5, quad=quad)
