@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import datetime
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -153,30 +152,28 @@ def _read_series(path: str, column: str | None) -> np.ndarray:
     return values
 
 
-def _pad_symmetric(values: np.ndarray) -> tuple[np.ndarray, int]:
-    n = values.size
-    target = 1 << math.ceil(math.log2(n))
-    return np.pad(values, (0, target - n), mode="symmetric"), n
-
-
 def cmd_denoise(args, run: _RunRecord) -> None:
     values = _read_series(args.input, args.column)
+    pipeline = _pipeline_config(args)
+    # primary level J0 needs 2^(J0 + 1) samples; padding reaches the next
+    # power of two
+    level = pipeline["elicitation"].primary_level
+    shortest = 2 ** (level + 1)
     n = values.size
-    padded = False
-    if n < 2 or n & (n - 1):
-        if args.pad == "symmetric":
-            values, n = _pad_symmetric(values)
-            padded = True
-        else:
-            lo = 1 << max(0, math.floor(math.log2(max(n, 1))))
-            hi = 1 << math.ceil(math.log2(max(n, 2)))
-            raise CliError(
-                f"series length {n} is not a power of two; nearest valid "
-                f"lengths are {lo} and {hi} (or rerun with --pad=symmetric)"
-            )
+    target = 1 << (n - 1).bit_length()
+    if target < shortest:
+        raise CliError(f"series length {n} is too short for primary level {level}: "
+                       f"need at least {shortest}")
+    padded = target != n
+    if padded:
+        if args.pad != "symmetric":
+            near = (f"nearest valid lengths are {target // 2} and {target}"
+                    if target // 2 >= shortest else f"the shortest valid length is {target}")
+            raise CliError(f"series length {n} is not a power of two; {near} "
+                           "(or rerun with --pad=symmetric)")
+        values = np.pad(values, (0, target - n), mode="symmetric")
 
     # sizes holds the one length the config checks the primary level against
-    pipeline = _pipeline_config(args)
     cfg = ExperimentConfig(sizes=(values.size,), **pipeline)
     result = denoise_detailed(values, args.method, cfg)
     f_hat = result.f_hat[:n] if padded else result.f_hat

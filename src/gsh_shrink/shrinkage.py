@@ -34,8 +34,8 @@ series re-expanded on 8 sub-panels rho/8 wide, as 9-term series: the pole
 lies 16 sub-panel half-widths off, so their terms decay like 32^-k and 9
 reach about 1e-13 of scale.  One constant (72 x 20) matrix, the 20-point
 Chebyshev transform followed by that re-expansion, takes the sums at a
-panel's 20 Chebyshev points straight to its sub-panel series, so a group of
-panels is filled by one matrix product.  The series are kept as complex
+panel's 20 Chebyshev points straight to its sub-panel series, so a batch of
+panels is filled by one stacked matrix product.  The series are kept as complex
 numbers with I0 in the real part and J in the imaginary part, 1152 bytes a
 panel.  Each tabled coefficient then takes one complex Clenshaw sum of 9
 terms, which has the bits of the two real ones, and the exact point mass
@@ -64,12 +64,15 @@ the sums depend on the slab, sigma and the quadrature alone.  A kernel per
 such triple holds the nodes, the factorised weights and the tables built so
 far, and the last kernel asked for is kept for the next call: a cache of
 one.  The levels of one denoise call share sigma and, with a pooled t, the
-slab; the risk curve and both Bayes risks of a rule share all three.  Tables
-are built in aligned groups of block/20 consecutive panels, always whole, and
-kept side by side in one array, so a panel's series has the same bits
-whatever the kernel evaluated before and no call copies them.
-Whether a coefficient takes its panel's table still depends on its own
-call alone.
+slab; the risk curve and both Bayes risks of a rule share all three.  A
+call fills the dense panels that have no table yet, in batches of at most
+block/20 panels, and keeps them side by side in one array.  Each panel's
+sums at its 20 nodes are a stacked product of their own, so its series has
+the same bits whatever batch it was filled in and whatever the kernel
+evaluated before.  Whether a coefficient takes its panel's table still
+depends on its own call alone.  A directly evaluated coefficient's last
+bits, by contrast, still depend on which coefficients share its block: the
+BLAS product rounds a row by where it falls in the block.
 
 Panels are counted and coefficients evaluated in chunks of a few thousand,
 so no temporary grows with the input.  A table's delta agrees with the
@@ -220,28 +223,29 @@ class _Kernel:
         # panels whose every node argument stays on the direct branch
         reach = self.coordinate(np.array([_Z_DIRECT / k - sigma * self.u_reach]))[0]
         self.max_panels = int(min(max(reach, 0.0), _MAX_PANELS))
-        # tables are built and kept in aligned groups of this many panels,
-        # always whole, so a panel's series has the same bits in every call.
-        # The sub-panel series of every group built so far sit side by side
-        # in one complex array, group slot after group slot, I0 in the real
-        # part and J in the imaginary part.  They follow _SUB_PANELS columns
-        # of the constant series 1, which coefficients without a table read,
-        # so that every lookup is finite
-        self.group = max(1, self.block // _TABLE_NODES)
-        self.slot_of: dict[int, int] = {}
+        # each dense panel's sub-panel series are built once and kept, side by
+        # side in one complex array, I0 in the real part and J in the
+        # imaginary part; first[p] is the column where panel p's begin, or 0
+        # while it has none.  They follow _SUB_PANELS columns of the constant
+        # series 1, which coefficients without a table read, so that every
+        # lookup is finite.  Panels are filled in batches of at most batch,
+        # which keeps the work matrix at a block's size
+        self.batch = max(1, self.block // _TABLE_NODES)
+        self.first = np.zeros(self.max_panels, dtype=np.intp)
         self.series = np.zeros((_SUB_NODES, _SUB_PANELS), dtype=complex)
         self.series[0] = 1.0
 
     def integrals(self, x: np.ndarray) -> np.ndarray:
-        """(I0, J) at each x on the direct branch, as an (x.size, 2) array.
+        """(I0, J) at each x on the direct branch, as an (*x.shape, 2) array.
 
         g = (c1/tau) / (2 cosh(k(x + sigma u)) + 2a) with 2 cosh(k(x + sigma
         u)) = e^{kx} e^{k sigma u} + e^{-kx} e^{-k sigma u}, so the whole
         denominator is one rank-3 product; no factor can overflow here and
-        every slab weight stays positive.
+        every slab weight stays positive.  The row factors stack on the last
+        axis, so a (P, r) x is P products of r rows each.
         """
         row_factors = np.stack([np.exp(self.k * x), np.exp(-self.k * x),
-                                np.full_like(x, 2.0 * self.p.a)], axis=1)
+                                np.full_like(x, 2.0 * self.p.a)], axis=-1)
         slab = row_factors @ self.node_factors
         return np.reciprocal(slab, out=slab) @ self.weights
 
@@ -319,54 +323,34 @@ class _Kernel:
             c = np.where(mag > self.x1, far, c)
         return c
 
-    def sub_panel_series(self, g: int) -> np.ndarray:
-        """The series of the panels of group g on their sub-panels: a
-        (sub-panel nodes, panels * _SUB_PANELS) complex array, column
-        _SUB_PANELS * p + m the series of I0 + iJ on sub-panel m of the
-        group's panel p.  The panel's own nodes are its Chebyshev points in
-        s = 2 (coordinate - panel) - 1, which spans [-1, 1]."""
-        part = np.arange(g * self.group, min((g + 1) * self.group, self.max_panels))
-        c = part[:, None] + 0.5 + 0.5 * _CHEB_POINTS
+    def sub_panel_series(self, panels: np.ndarray) -> np.ndarray:
+        """The series of the given panels on their sub-panels: a (sub-panel
+        nodes, panels.size * _SUB_PANELS) complex array, column _SUB_PANELS * i
+        + m the series of I0 + iJ on sub-panel m of panels[i].  A panel's own
+        nodes are its Chebyshev points in s = 2 (coordinate - panel) - 1,
+        which spans [-1, 1], and its sums are a product of their own."""
+        c = panels[:, None] + 0.5 + 0.5 * _CHEB_POINTS
         nodes = c * self.rho
-        if part[-1] >= self.n1:
-            nodes = np.where(part[:, None] >= self.n1,
+        if panels.max() >= self.n1:
+            nodes = np.where(panels[:, None] >= self.n1,
                              self.x1 + (c - self.n1) * self.width, nodes)
-        values = self.integrals(nodes.ravel()).reshape(part.size, _TABLE_NODES, 2)
-        sub = (_SUB_EXPANSION @ values).reshape(part.size, _SUB_PANELS, _SUB_NODES, 2)
-        series = np.empty((_SUB_NODES, part.size, _SUB_PANELS), dtype=complex)
+        sub = (_SUB_EXPANSION @ self.integrals(nodes)).reshape(
+            panels.size, _SUB_PANELS, _SUB_NODES, 2)
+        series = np.empty((_SUB_NODES, panels.size, _SUB_PANELS), dtype=complex)
         series.real = sub[..., 0].transpose(2, 0, 1)
         series.imag = sub[..., 1].transpose(2, 0, 1)
         return series.reshape(_SUB_NODES, -1)
-
-    def slots(self, groups: list[int]) -> np.ndarray:
-        """The slot of each group in self.series; groups that have none yet
-        get the next free slots, filled with their sub-panel series."""
-        new = [g for g in groups if g not in self.slot_of]
-        if new:
-            span = self.group * _SUB_PANELS
-            kept = self.series.shape[1]
-            grown = np.zeros((_SUB_NODES, kept + len(new) * span), dtype=complex)
-            grown[:, :kept] = self.series
-            self.series = grown
-            for g in new:
-                slot = self.slot_of[g] = len(self.slot_of)
-                series = self.sub_panel_series(g)
-                first = _SUB_PANELS + slot * span
-                grown[:, first:first + series.shape[1]] = series
-        return np.array([self.slot_of[g] for g in groups], dtype=np.intp)
 
     def tables(self, flat: np.ndarray):
         """(panel count, sub-panel -> its column in self.series), when some
         panel holds more coefficients than a table has nodes; else None.
         Sub-panel m of panel p is entry _SUB_PANELS * p + m, and the
-        sub-panels of panels without a table map to the constant columns."""
+        sub-panels of panels without a table in this call map to the
+        constant columns.  Dense panels that have no table yet get one."""
         if flat.size <= _TABLE_NODES:
             return None
         top = max(flat.max(initial=0.0), -flat.min(initial=0.0))
         count = int(min(self.max_panels, self.coordinate(np.array([top]))[0] + 1.0))
-        if count <= 0:
-            # no panel is on the direct branch throughout: max_panels == 0
-            return None
         held = np.zeros(count + 1, dtype=np.intp)
         for start in range(0, flat.size, _CHUNK):
             c = self.coordinate(np.abs(flat[start:start + _CHUNK]))
@@ -375,12 +359,14 @@ class _Kernel:
         panels = np.flatnonzero(held[:count] > _TABLE_NODES)
         if panels.size == 0:
             return None
-        group_of = panels // self.group
-        used = np.flatnonzero(np.bincount(group_of))
-        slots = self.slots(used.tolist())
+        new = panels[self.first[panels] == 0]
+        if new.size:
+            fills = [self.sub_panel_series(new[i:i + self.batch])
+                     for i in range(0, new.size, self.batch)]
+            self.first[new] = self.series.shape[1] + _SUB_PANELS * np.arange(new.size)
+            self.series = np.concatenate([self.series, *fills], axis=1)
         first = np.zeros(count + 1, dtype=np.intp)
-        first[panels] = _SUB_PANELS * (1 + slots[np.searchsorted(used, group_of)] * self.group
-                                       + panels % self.group)
+        first[panels] = self.first[panels]
         return count, (first[:, None] + np.arange(_SUB_PANELS)).ravel()
 
     def tabled(self, mag: np.ndarray, tables, alpha: float) -> np.ndarray:

@@ -139,6 +139,35 @@ class TestDenoise:
         err = capsys.readouterr().err
         assert "256" in err and "512" in err
 
+    @pytest.mark.parametrize("pad", [[], ["--pad", "symmetric"]], ids=["plain", "pad"])
+    def test_one_sample_is_too_short(self, tmp_path, capsys, pad):
+        # J0 = 4 needs 32 samples; 1 is not named as a valid length, and
+        # padding does not reach the config's power-of-two check
+        path = tmp_path / "one.csv"
+        write_series(path, [1.0])
+        out = tmp_path / "one"
+        assert main(["denoise", str(path), *pad, "--out-prefix", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "series length 1 is too short for primary level 4: need at least 32" in err
+        assert "power" not in err
+        assert not list(tmp_path.glob("one_*"))
+
+    def test_short_length_names_only_valid_lengths(self, tmp_path, capsys):
+        # 16 is a power of two but too short for J0 = 4; 32 is the nearest
+        path = tmp_path / "twenty.csv"
+        write_series(path, np.sin(np.arange(20)))
+        code = main(["denoise", str(path), "--out-prefix", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "the shortest valid length is 32" in err
+        assert "16" not in err
+        assert not list(tmp_path.glob("x_*"))
+        out = tmp_path / "padded"
+        assert main(["denoise", str(path), "--pad", "symmetric",
+                     "--out-prefix", str(out)]) == 0
+        _, cols = read_csv(f"{out}_denoised.csv")
+        assert cols["f_hat"].size == 20
+
     def test_symmetric_padding(self, tmp_path):
         path = tmp_path / "odd.csv"
         rng = np.random.default_rng(5)

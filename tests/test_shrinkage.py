@@ -366,6 +366,22 @@ class TestPanelTables:
         assert dense.max() >= kernel.n1
         assert np.all(column_of[_SUB_PANELS * dense] >= _SUB_PANELS)
 
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
+                             ids=["pipeline", "dense", "gh64"])
+    @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 3.0])
+    def test_tables_only_dense_panels(self, t, quad):
+        # a cold kernel's one call keeps the constant columns and one
+        # table per panel that holds more coefficients than a table has
+        # nodes, and none for the panels between them
+        rule = make_rule(alpha=0.9, tau=self.SIGMA, t=t, sigma=self.SIGMA, quad=quad)
+        d = self.dense_input(rule, seed=11)
+        _kernel.cache_clear()
+        kernel = _kernel(rule.prior.gsh, rule.sigma, rule.quad)
+        assert kernel.tables(d) is not None
+        held = np.bincount(kernel.coordinate(np.abs(d)).astype(np.intp))
+        dense = np.count_nonzero(held[:kernel.max_panels] > _TABLE_NODES)
+        assert kernel.series.shape[1] == _SUB_PANELS * (1 + dense)
+
     @pytest.mark.parametrize("quad", [GH64, GH32], ids=["gh64", "gh32"])
     @pytest.mark.parametrize("t", [-np.pi + 1e-3, 0.0, 10.0])
     def test_gauss_hermite_rules_build_tables(self, t, quad):
@@ -485,9 +501,9 @@ class TestSubPanelSeries:
 
 
 class TestKernelCache:
-    """One kernel per (slab, sigma, quadrature), kept for the next call: its
-    tables are built in whole aligned groups, so no result depends on what
-    the kernel evaluated before."""
+    """One kernel per (slab, sigma, quadrature), kept for the next call: each
+    panel's table is a product of its own, whatever batch it is filled in,
+    so no result depends on what the kernel evaluated before."""
 
     @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
                              ids=["pipeline", "dense", "gh64"])
@@ -501,9 +517,34 @@ class TestKernelCache:
         _kernel.cache_clear()
         shrink_array(np.concatenate([3.0 * d[::3], d[::7]]), rule)
         assert np.array_equal(shrink_array(d, rule), cold)
+        # the same panels, filled in other batches: d's far half first
+        _kernel.cache_clear()
+        shrink_array(d[np.abs(d) > np.median(np.abs(d))], rule)
+        assert np.array_equal(shrink_array(d, rule), cold)
         # after another rule took the cache's one place
         shrink_array(d, make_rule(alpha=0.9, t=t + 0.5, sigma=1.5, quad=quad))
         assert np.array_equal(shrink_array(d, rule), cold)
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD, GH64],
+                             ids=["pipeline", "dense", "gh64"])
+    @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0])
+    def test_panel_bits_do_not_depend_on_its_batch(self, t, quad):
+        # numpy's stacked product gives each panel's 20 rows a product of
+        # their own.  One flat product over the batch rounds a row by where
+        # it falls in the BLAS row blocking, which shows with 13 rows a
+        # stack (20 happen to divide evenly here)
+        rule = make_rule(alpha=0.9, t=t, sigma=1.5, quad=quad)
+        kernel = _kernel(rule.prior.gsh, rule.sigma, rule.quad)
+        x = np.random.default_rng(12).uniform(0.0, 8.0, (8, 13))
+        assert np.array_equal(kernel.integrals(x), np.stack([kernel.integrals(r) for r in x]))
+        # near and far panels, alone and batched
+        n1 = int(kernel.n1)
+        assert n1 + 9 < kernel.max_panels
+        batch = np.array([0, 3, n1 - 1, n1, 1, n1 + 9, 2, n1 + 4])
+        together = kernel.sub_panel_series(batch)
+        for i, panel in enumerate(batch):
+            alone = kernel.sub_panel_series(np.array([panel]))
+            assert np.array_equal(alone, together[:, _SUB_PANELS * i:_SUB_PANELS * (i + 1)]), panel
 
     def test_rules_differing_in_alpha_share_a_kernel(self):
         d = np.linspace(-8.0, 8.0, 4001)
