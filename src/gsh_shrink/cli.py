@@ -122,7 +122,8 @@ class _RunRecord:
 def _read_series(path: str, column: str | None) -> np.ndarray:
     """One numeric column from a headed CSV; extra index/date columns are ignored."""
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             # (1-based line of the file, row); blank lines are skipped
             rows = [(reader.line_num, row) for row in reader if row]
@@ -198,6 +199,9 @@ def cmd_denoise(args, run: _RunRecord) -> None:
     if result.hyperparams is not None:
         hyper = result.hyperparams
         print(f"t: {_fmt(hyper.t_value)}")
+        if not pipeline["elicitation"].pool_levels:
+            for j in sorted(hyper.t_by_level):
+                print(f"t[level {j}]: {_fmt(hyper.t_by_level[j])}")
         print(f"tau: {_fmt(hyper.tau)}")
         for j in sorted(hyper.alpha_by_level):
             print(f"alpha[level {j}]: {_fmt(hyper.alpha_by_level[j])}")

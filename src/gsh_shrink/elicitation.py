@@ -105,6 +105,9 @@ def sample_kurtosis(coeffs) -> float:
     if d.size < 4:
         raise ValueError(f"need at least 4 values, got {d.size}")
     centered = d - d.mean()
+    # m4 / m2^2 is scale-free: an exact power of two takes the largest
+    # magnitude into [1/2, 1), so no power below over- or underflows
+    np.ldexp(centered, -np.frexp(max(centered.max(), -centered.min()))[1], out=centered)
     # one square, reused for the fourth power: centered**4 would call pow
     sq = centered * centered
     m2 = np.mean(sq)

@@ -9,9 +9,17 @@ where I0 = E[g(sigma*U + d)], I1 = E[(sigma*U + d) g(sigma*U + d)] over
 U ~ N(0, 1).  Both integrals share the same quadrature nodes.  Slab weights
 are evaluated directly through g = (c1/tau)/(2 cosh(z) + 2a) while the
 argument range permits, and in log space with a max shift beyond that, so
-the ratio stays well conditioned out to |d| of order 100*sigma.  The nodes
-are symmetric, so delta is odd: it is evaluated at |d| and given the sign
-of d, which makes shrink_array(-d) == -shrink_array(d) bit for bit.
+the ratio stays well conditioned out to |d| of order 100*sigma.  Both take
+delta from posterior_mean; the log-space sums arrive scaled to I0 = 1, and
+their log scale comes off the point mass's exponent.  The nodes are
+symmetric, so delta is odd: it is evaluated at |d| and given the sign of d,
+which makes shrink_array(-d) == -shrink_array(d) bit for bit.
+
+Overflow.  shrink_array lets the kernel overflow silently, because every
+overflow in it saturates to the right limit: where the point mass outweighs
+the slab past a double's range it is inf and delta is 0; past |d| = 1.3e154
+sigma (x/sigma)^2 is inf and the point mass 0; and a panel coordinate that
+overflows is clamped to the panel count.  Invalid operations still warn.
 
 The direct weights are factorised: with z = k(d + sigma*u) and k = c2/tau,
 2 cosh(z) = e^{kd} e^{k sigma u} + e^{-kd} e^{-k sigma u}.  Instead of a
@@ -249,12 +257,13 @@ class _Kernel:
         slab = row_factors @ self.node_factors
         return np.reciprocal(slab, out=slab) @ self.weights
 
-    def posterior_mean(self, x, i0, j, alpha: float) -> np.ndarray:
-        """delta at x from I0 and J there, with the point mass exact."""
+    def posterior_mean(self, x, i0, j, alpha: float, log_scale=0.0) -> np.ndarray:
+        """delta at x from I0 and J there, with the point mass exact.  The
+        sums may be given divided by e^log_scale; the point mass then is too."""
         sigma = self.sigma
         num = x * i0 + sigma * j
         if alpha > 0.0:
-            point = (alpha / sigma) * np.exp(-0.5 * (x / sigma) ** 2) \
+            point = (alpha / sigma) * np.exp(-0.5 * (x / sigma) ** 2 - log_scale) \
                 / np.sqrt(2.0 * np.pi)
         else:
             point = 0.0
@@ -265,8 +274,7 @@ class _Kernel:
         out = np.empty_like(mag)
         for start in range(0, mag.size, self.block):
             dj = mag[start:start + self.block]
-            # a Python float product overflows to inf without a warning
-            if self.k * float(dj.max(initial=0.0) + self.sigma * self.u_reach) < _Z_DIRECT:
+            if self.k * (dj.max(initial=0.0) + self.sigma * self.u_reach) < _Z_DIRECT:
                 integrals = self.integrals(dj)
                 out[start:start + self.block] = self.posterior_mean(
                     dj, integrals[:, 0], integrals[:, 1], alpha)
@@ -281,36 +289,23 @@ class _Kernel:
         return out
 
     def log_space(self, dj: np.ndarray, alpha: float) -> np.ndarray:
-        """delta at each |d| in log space with a max shift: for extreme
-        coefficients the raw terms underflow while the ratio stays well
-        conditioned.  delta is taken as the slab's posterior weight times
-        |d| + sigma E[u | d], so no sum grows past |d|."""
+        """delta at each |d| from log-space weights with a max shift: for
+        extreme coefficients the raw terms underflow while the ratio stays
+        well conditioned.  The sums go to posterior_mean scaled to I0 = 1,
+        with J = E[u | d], so no sum grows past |d|."""
         sigma = self.sigma
         # past |d| = max/(2k), k |d + sigma u| would overflow and every log
         # weight be -inf.  So far out the weights are the exponential tail's,
         # v e^{-k sigma u} up to a factor, whatever d, so they are taken there
-        # (a Python float quotient overflows to inf without a warning)
-        at = np.fmin(dj, float(np.finfo(float).max) / (2.0 * self.k))
+        at = np.fmin(dj, np.finfo(float).max / (2.0 * self.k))
         s = gsh_log_density(at[:, None] + sigma * self.u[None, :], self.p)
         s += self.log_v[None, :]
-        shift = s.max(axis=1, keepdims=True)
-        s -= shift
+        shift = s.max(axis=1)
+        s -= shift[:, None]
         w = np.exp(s, out=s)
         den = w.sum(axis=1)
-        mean_u = (w @ self.u) / den
-        slab = (1.0 - alpha) * den
-        if alpha > 0.0:
-            # beyond |d| = 1e154 sigma the square overflows, and the point
-            # mass is 0 as it should be
-            with np.errstate(over="ignore"):
-                log_point = (
-                    np.log(alpha) - np.log(sigma)
-                    - 0.5 * (dj / sigma) ** 2 - 0.5 * np.log(2.0 * np.pi)
-                )
-            point = np.exp(log_point - shift[:, 0])
-        else:
-            point = 0.0
-        return slab / (point + slab) * (dj + sigma * mean_u)
+        return self.posterior_mean(dj, 1.0, (w @ self.u) / den, alpha,
+                                   shift + np.log(den))
 
     def coordinate(self, mag: np.ndarray) -> np.ndarray:
         """The panel coordinate of each |d|: |d|/rho up to x1 and n1 + (|d| -
@@ -409,16 +404,19 @@ def shrink_array(d, rule: ShrinkageRule) -> np.ndarray:
     kernel = _kernel(rule.prior.gsh, rule.sigma, rule.quad)
     flat = d.ravel()
     out = np.empty_like(flat)
-    tables = kernel.tables(flat)
-    for start in range(0, flat.size, _CHUNK):
-        dj = flat[start:start + _CHUNK]
-        mag = np.abs(dj)
-        delta = kernel.direct(mag, alpha) if tables is None \
-            else kernel.tabled(mag, tables, alpha)
-        # the rule is odd; the numerator integrand is odd at d = 0, so the
-        # posterior mean is exactly zero there: pin it to avoid rounding residue
-        part = np.multiply(delta, np.sign(dj), out=out[start:start + _CHUNK])
-        part[dj == 0.0] = 0.0
+    # every overflow in the kernel saturates to the right limit (see the
+    # module docstring); an invalid operation still warns
+    with np.errstate(over="ignore"):
+        tables = kernel.tables(flat)
+        for start in range(0, flat.size, _CHUNK):
+            dj = flat[start:start + _CHUNK]
+            mag = np.abs(dj)
+            delta = kernel.direct(mag, alpha) if tables is None \
+                else kernel.tabled(mag, tables, alpha)
+            # the rule is odd; the numerator integrand is odd at d = 0, so the
+            # posterior mean is exactly zero there: pin it to avoid rounding residue
+            part = np.multiply(delta, np.sign(dj), out=out[start:start + _CHUNK])
+            part[dj == 0.0] = 0.0
     return out.reshape(d.shape)
 
 

@@ -108,9 +108,8 @@ class TestDenoise:
         path = tmp_path / "index.csv"
         write_series(path, prices)
         out = tmp_path / "idx"
-        with np.errstate(over="ignore"):
-            code = main(["denoise", str(path), "--pad", "symmetric",
-                         "--out-prefix", str(out)])
+        code = main(["denoise", str(path), "--pad", "symmetric",
+                     "--out-prefix", str(out)])
         assert code == 0
         captured = capsys.readouterr()
         sigma_hat = float(captured.out.splitlines()[0].split(":")[1])
@@ -167,6 +166,38 @@ class TestDenoise:
                      "--out-prefix", str(out)]) == 0
         _, cols = read_csv(f"{out}_denoised.csv")
         assert cols["f_hat"].size == 20
+
+    @pytest.mark.parametrize("column", [["--column", "close"], []], ids=["close", "last"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, column):
+        # spreadsheets' "CSV UTF-8" export starts with a byte-order mark,
+        # which became part of the first header cell
+        path = tmp_path / "plain.csv"
+        y = np.sin(np.arange(256) / 9.0) * 4.0 + np.random.default_rng(3).normal(size=256)
+        rows = (f"{v!r},{i}\n" for i, v in enumerate(y.tolist()))
+        path.write_text("close,day\n" + "".join(rows))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for src, out in ((path, tmp_path / "a"), (marked, tmp_path / "b")):
+            assert main(["denoise", str(src), *column, "--out-prefix", str(out)]) == 0
+        for suffix in ("_denoised.csv", "_coefficients.csv"):
+            assert (Path(f"{tmp_path / 'a'}{suffix}").read_bytes()
+                    == Path(f"{tmp_path / 'b'}{suffix}").read_bytes())
+
+    def test_per_level_t_prints_each_level(self, tmp_path, capsys):
+        # every level of at least 30 coefficients elicits its own t under
+        # --per-level-t; printing only the pooled t hid the ones used
+        steps = SeededRng(7).generator().standard_t(4, size=1023) * 0.02
+        path = tmp_path / "share.csv"
+        write_series(path, 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(steps)])))
+        assert main(["denoise", str(path), "--out-prefix", str(tmp_path / "p")]) == 0
+        assert "t[level" not in capsys.readouterr().out
+        assert main(["denoise", str(path), "--per-level-t",
+                     "--out-prefix", str(tmp_path / "l")]) == 0
+        lines = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        pooled = lines["t"]
+        per_level = {j: lines[f"t[level {j}]"] for j in range(4, 10)}
+        assert per_level[4] == pooled  # 16 coefficients: below the 30 needed
+        assert any(per_level[j] != pooled for j in range(5, 10))
 
     def test_symmetric_padding(self, tmp_path):
         path = tmp_path / "odd.csv"

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from gsh_shrink.dwt import daubechies_filter, forward
 from gsh_shrink.elicitation import (ElicitationConfig, alpha_level, elicit_all,
                                     elicit_t, estimate_sigma, sample_kurtosis)
+from gsh_shrink.experiments import ExperimentConfig, denoise_detailed
 from gsh_shrink.gsh_prior import gsh_kurtosis
 from gsh_shrink.numerics import DegenerateInputError, SeededRng, sample_normal
+from gsh_shrink.signals import sample_function, scale_to_snr
 
 CFG = ElicitationConfig()
 
@@ -93,6 +95,30 @@ class TestSampleKurtosis:
         m2 = math.fsum((v - mean) ** 2 for v in x) / x.size
         m4 = math.fsum((v - mean) ** 4 for v in x) / x.size
         assert sample_kurtosis(x) == pytest.approx(m4 / m2**2, rel=1e-14)
+
+    @staticmethod
+    def bumps():
+        _, f = sample_function("bumps", 1024)
+        return scale_to_snr(f, 7.0, 1.0) + sample_normal(SeededRng(1), 0.0, 1.0, 1024)
+
+    def test_scale_free_at_extreme_scales(self):
+        # m4 / m2^2 is scale-free, but its fourth powers overflowed at
+        # 2^250; a power-of-two scale keeps every bit of the ratio
+        y = self.bumps()
+        t = elicit_t(sample_kurtosis(y))
+        for c in (2.0**250, 2.0**-250):
+            assert elicit_t(sample_kurtosis(c * y)) == t, c
+
+    @pytest.mark.parametrize("c", [1e80, 1e-160])
+    def test_denoise_runs_at_extreme_scales(self, c):
+        # the pooled kurtosis overflowed (1e80) or underflowed (1e-160) to
+        # NaN, and denoise raised
+        cfg = ExperimentConfig(sizes=(1024,))
+        y = self.bumps()
+        result = denoise_detailed(c * y, "gsh", cfg)
+        assert np.all(np.isfinite(result.f_hat))
+        assert result.hyperparams.t_value == pytest.approx(
+            denoise_detailed(y, "gsh", cfg).hyperparams.t_value, rel=1e-12)
 
     def test_constant_vector(self):
         with pytest.raises(DegenerateInputError):

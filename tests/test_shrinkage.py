@@ -75,16 +75,41 @@ class TestBasics:
                              ids=["pipeline", "dense", "gh64"])
     def test_largest_doubles_stay_finite(self, quad):
         # the log density overflowed at |d| = 1.7e308 and delta came out NaN;
-        # at tau = 0.1, k |d| itself overflows and every log weight was -inf
-        d = np.array([1.7e308, -1.7e308, 1e200, -1e154, 1e10])
-        for tau in (0.1, 1.0, 40.0):
-            rule = make_rule(alpha=0.9, tau=tau, t=-3.0, sigma=1.0, quad=quad)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                out = shrink_array(d, rule)
-            assert np.all(np.isfinite(out)), f"tau={tau}"
-            assert np.all(np.abs(out) <= np.abs(d)), f"tau={tau}"
-            assert np.array_equal(np.sign(out), np.sign(d)), f"tau={tau}"
+        # at tau = 0.1, k |d| itself overflows and every log weight was -inf.
+        # With more than 20 coefficients the call builds tables, and the
+        # panel coordinate (tau = 0.1, 1) or the point mass's square
+        # (tau = 40) overflowed with a warning
+        small = np.array([1.7e308, -1.7e308, 1e200, -1e154, 1e10])
+        tabled = np.concatenate([np.linspace(-3.0, 3.0, 200), [1.7e308, -1e200]])
+        for d in (small, tabled):
+            for tau in (0.1, 1.0, 40.0):
+                rule = make_rule(alpha=0.9, tau=tau, t=-3.0, sigma=1.0, quad=quad)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = shrink_array(d, rule)
+                where = f"tau={tau}, {d.size} coefficients"
+                assert np.all(np.isfinite(out)), where
+                assert np.all(np.abs(out) <= np.abs(d)), where
+                # the 64-node rule's known sign defects at sigma/tau = 10
+                # lie in [-3, 3]; the extreme coefficients keep their sign
+                far = np.abs(d) >= 1e10
+                assert np.array_equal(np.sign(out[far]), np.sign(d[far])), where
+
+    def test_overwhelming_point_mass_gives_zero_silently(self):
+        # t = 10, sigma/tau = 10: at d = 60 and 100 the point mass outweighs
+        # the slab's quadrature sums past a double's range, and the exp that
+        # says so overflowed with a warning.  The sums at 50 digits give
+        # delta = 6.2314861e-26, 1.2094076e-416, 1.5009925e-499 and
+        # 4.8061533e-169 at d = 20, 60, 100 and 150, so 0 is the correctly
+        # rounded value at the middle two.  (The posterior mean itself is far
+        # larger: the quadrature window misses the slab's Tweedie shift.)
+        rule = make_rule(alpha=0.9, tau=0.15, t=10.0, sigma=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = shrink_array(np.array([20.0, 60.0, 100.0, 150.0]), rule)
+        assert out[1] == 0.0 and out[2] == 0.0
+        assert out[0] == pytest.approx(6.2314861e-26, rel=1e-7)
+        assert out[3] == pytest.approx(4.8061533e-169, rel=1e-7)
 
     def test_direct_and_shifted_paths_agree_at_crossover(self):
         # the evaluator switches from direct density evaluation to the
