@@ -10,10 +10,12 @@ U ~ N(0, 1).  Both integrals share the same quadrature nodes.  Slab weights
 are evaluated directly through g = (c1/tau)/(2 cosh(z) + 2a) while the
 argument range permits, and in log space with a max shift beyond that, so
 the ratio stays well conditioned out to |d| of order 100*sigma.  Both take
-delta from posterior_mean; the log-space sums arrive scaled to I0 = 1, and
-their log scale comes off the point mass's exponent.  The nodes are
-symmetric, so delta is odd: it is evaluated at |d| and given the sign of d,
-which makes shrink_array(-d) == -shrink_array(d) bit for bit.
+delta from posterior_mean in one division, as (d I0 + sigma J)/(I0 + c
+e^{-(d/sigma)^2/2}) with J = (I1 - d I0)/sigma and c = alpha/((1-alpha)
+sigma sqrt(2 pi)); the log-space sums arrive scaled to I0 = 1, and their
+log scale comes off the point mass's exponent.  The nodes are symmetric, so
+delta is odd: it is evaluated at |d| and given the sign of d, which makes
+shrink_array(-d) == -shrink_array(d) bit for bit.
 
 Overflow.  shrink_array lets the kernel overflow silently, because every
 overflow in it saturates to the right limit: where the point mass outweighs
@@ -40,19 +42,21 @@ coefficients than the table has nodes and the direct branch is valid across
 it; the table costs 20 direct evaluations.  What is kept is the panel's
 series re-expanded on 8 sub-panels rho/8 wide, as 9-term series: the pole
 lies 16 sub-panel half-widths off, so their terms decay like 32^-k and 9
-reach about 1e-13 of scale.  One constant (72 x 20) matrix, the 20-point
-Chebyshev transform followed by that re-expansion, takes the sums at a
-panel's 20 Chebyshev points straight to its sub-panel series, so a batch of
-panels is filled by one stacked matrix product.  The series are kept as complex
-numbers with I0 in the real part and J in the imaginary part, 1152 bytes a
-panel.  Each tabled coefficient then takes one complex Clenshaw sum of 9
-terms, which has the bits of the two real ones, and the exact point mass
-instead of a pass over the quadrature nodes.  Every coefficient of a chunk
-is looked up; those whose panel has no table (sparse panels, the log-space
-region) read a constant series there and are then evaluated directly, as
-are inputs of at most 20 coefficients.  The series interpolate I0 and J,
-not delta: the denominator of delta has complex zeros near the real axis,
-which a table of delta misses.
+reach about 1e-13 of scale.  They are kept in powers of the sub-panel's own
+s on [-1, 1], which the fast decay keeps free of cancellation (powers of a
+coordinate on [0, 1) cancel).  One constant (72 x 20) matrix, the 20-point
+Chebyshev transform, that re-expansion and the integer map from Chebyshev
+polynomials to powers, takes a panel's sums at its 20 Chebyshev points to
+its sub-panel series, so a batch of panels is filled by one stacked matrix
+product.  The series are complex, I0 in the real part and J in the
+imaginary part, 1152 bytes a panel.  Each tabled coefficient then takes one
+complex Horner sum of 9 terms, which has the bits of the two real ones, and
+the exact point mass instead of a pass over the quadrature nodes.  Every
+coefficient of a chunk is looked up; those whose panel has no table (sparse
+panels, the log-space region) read a constant series there and are then
+evaluated directly, as are inputs of at most 20 coefficients.  The series
+interpolate I0 and J, not delta: the denominator of delta has complex zeros
+near the real axis, which a table of delta misses.
 
 Far panels.  For t < 0 the poles of I0 and J sit at Re d = -sigma u_i, so
 within X0 = sigma max|u| of the origin.  Past X0 the sums are analytic in a
@@ -64,8 +68,8 @@ sub-panel half-widths from the pole, so their 9-term series decay like
 20^-k; farther panels do better.  Across a panel I0 changes by about e^{kW},
 which W = 2/k holds at e^2.  Only for t < 2 - pi is 2/k wider than rho;
 elsewhere there is no far zone.  One panel coordinate serves counting, table
-nodes and lookup: |d|/rho up to x1 and n1 + (|d| - x1)/W beyond, with
-n1 = x1/rho.
+nodes and lookup: the smaller of |d|/rho and n1 + (|d| - x1)/W, with
+n1 = x1/rho, two lines that cross at x1.
 
 One kernel, kept.  Apart from alpha, which enters only the final ratio,
 the sums depend on the slab, sigma and the quadrature alone.  A kernel per
@@ -145,44 +149,34 @@ _CHEB_POINTS, _CHEB_TRANSFORM = _chebyshev(_TABLE_NODES)
 def _sub_expansion() -> np.ndarray:
     """The (_SUB_PANELS * _SUB_NODES, _TABLE_NODES) matrix taking the values
     at a panel's Chebyshev points to its sub-panels' series: the panel's
-    20-term series, re-expanded.  Row _SUB_NODES * m + q gives the q-th
-    coefficient on sub-panel m, in the sub-panel's own s on [-1, 1]."""
+    20-term series, re-expanded.  Row _SUB_NODES * m + q gives the
+    coefficient of s^q on sub-panel m, in the sub-panel's own s on [-1, 1]."""
     points, transform = _chebyshev(_SUB_NODES)
+    # column k holds the integer coefficients of T_k in powers of s
+    power = np.eye(_SUB_NODES)
+    for k in range(2, _SUB_NODES):
+        power[1:, k] = 2.0 * power[:-1, k - 1]
+        power[:, k] -= power[:, k - 2]
     centres = (2.0 * np.arange(_SUB_PANELS) + 1.0) / _SUB_PANELS - 1.0
     s = centres[:, None] + points / _SUB_PANELS
     # T_k at each sub-panel's Chebyshev points, (panel, point, k)
     t_k = np.cos(np.arccos(s)[..., None] * np.arange(_TABLE_NODES))
-    series = (transform @ t_k).reshape(_SUB_PANELS * _SUB_NODES, _TABLE_NODES)
+    series = ((power @ transform) @ t_k).reshape(_SUB_PANELS * _SUB_NODES, _TABLE_NODES)
     return series @ _CHEB_TRANSFORM
 
 
 _SUB_EXPANSION = _sub_expansion()
 
 
-def _clenshaw(series: np.ndarray, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_k series[k, rows] T_k(s) by Clenshaw's recurrence, for complex
-    series and real s.
-
-    The recurrence is linear in the coefficients, and a product with a
-    complex number of zero imaginary part is exact in each part, so on
-    complex series it runs two real series at once, each with the bits it
-    would have alone.  The first two steps, whose b_{k+2} terms are zero, are
-    unrolled, and the last takes s b_1 as (2s b_1)/2, which has the same bits.
-    """
-    s2 = (2.0 * s).astype(complex)
-    b2 = series[-1].take(rows)
-    b1 = series[-2].take(rows)
-    b1 += s2 * b2
-    for c in series[-3:0:-1]:
-        b0 = c.take(rows)
-        b0 += s2 * b1
-        b0 -= b2
-        b1, b2 = b0, b1
-    b1 *= s2
-    b1 *= 0.5
-    out = series[0].take(rows)
-    out += b1
-    out -= b2
+def _horner(series: np.ndarray, rows: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_k series[k, rows] s^k by Horner's rule, for complex series and
+    real s.  A product with a complex number of zero imaginary part is exact
+    in each part, so each part has the bits of its own real Horner sum."""
+    s = s.astype(complex)
+    out = series[-1].take(rows)
+    for c in series[-2::-1]:
+        out *= s
+        out += c.take(rows)
     return out
 
 
@@ -257,17 +251,25 @@ class _Kernel:
         slab = row_factors @ self.node_factors
         return np.reciprocal(slab, out=slab) @ self.weights
 
-    def posterior_mean(self, x, i0, j, alpha: float, log_scale=0.0) -> np.ndarray:
-        """delta at x from I0 and J there, with the point mass exact.  The
-        sums may be given divided by e^log_scale; the point mass then is too."""
+    def posterior_mean(self, x, i0, j, alpha: float, log_scale=None) -> np.ndarray:
+        """delta at x from I0 and J there, in one division with the point mass
+        exact (module docstring).  The sums may be given divided by
+        e^log_scale; the point mass then is too."""
         sigma = self.sigma
-        num = x * i0 + sigma * j
-        if alpha > 0.0:
-            point = (alpha / sigma) * np.exp(-0.5 * (x / sigma) ** 2 - log_scale) \
-                / np.sqrt(2.0 * np.pi)
-        else:
-            point = 0.0
-        return (1.0 - alpha) * num / (point + (1.0 - alpha) * i0)
+        num = x * i0
+        num += sigma * j
+        if alpha == 0.0:
+            return np.divide(num, i0, out=num)
+        # (x/sigma)^2 is scale-free; x^2/sigma^2 underflows at tiny sigma
+        den = x / sigma
+        den *= den
+        den *= -0.5
+        if log_scale is not None:
+            den -= log_scale
+        np.exp(den, out=den)
+        den *= alpha / (1.0 - alpha) / (sigma * np.sqrt(2.0 * np.pi))
+        den += i0
+        return np.divide(num, den, out=num)
 
     def direct(self, mag: np.ndarray, alpha: float) -> np.ndarray:
         """delta at each |d|, one pass over the quadrature nodes each."""
@@ -308,14 +310,13 @@ class _Kernel:
                                    shift + np.log(den))
 
     def coordinate(self, mag: np.ndarray) -> np.ndarray:
-        """The panel coordinate of each |d|: |d|/rho up to x1 and n1 + (|d| -
-        x1)/width beyond, so panel p spans [p, p + 1)."""
+        """The panel coordinate of each |d|: the smaller of |d|/rho and n1 +
+        (|d| - x1)/width, which cross at x1, so panel p spans [p, p + 1)."""
         c = mag / self.rho
         if self.x1 < np.inf and mag.max(initial=0.0) > self.x1:
-            far = mag - self.x1
-            far /= self.width
-            far += self.n1
-            c = np.where(mag > self.x1, far, c)
+            far = mag / self.width
+            far += self.n1 - self.x1 / self.width
+            np.fmin(c, far, out=c)
         return c
 
     def sub_panel_series(self, panels: np.ndarray) -> np.ndarray:
@@ -327,8 +328,7 @@ class _Kernel:
         c = panels[:, None] + 0.5 + 0.5 * _CHEB_POINTS
         nodes = c * self.rho
         if panels.max() >= self.n1:
-            nodes = np.where(panels[:, None] >= self.n1,
-                             self.x1 + (c - self.n1) * self.width, nodes)
+            nodes = np.fmax(nodes, self.x1 + (c - self.n1) * self.width)
         sub = (_SUB_EXPANSION @ self.integrals(nodes)).reshape(
             panels.size, _SUB_PANELS, _SUB_NODES, 2)
         series = np.empty((_SUB_NODES, panels.size, _SUB_PANELS), dtype=complex)
@@ -378,7 +378,7 @@ class _Kernel:
         c *= 2.0
         c -= 1.0
         columns = column_of.take(sub.astype(np.intp))
-        sums = _clenshaw(self.series, columns, c)
+        sums = _horner(self.series, columns, c)
         out = self.posterior_mean(mag, sums.real, sums.imag, alpha)
         miss = np.flatnonzero(columns < _SUB_PANELS)
         if miss.size:

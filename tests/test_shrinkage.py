@@ -16,7 +16,7 @@ from gsh_shrink.gsh_prior import GshParams, ShrinkagePrior, gsh_log_density
 from gsh_shrink.numerics import (DENSE_QUAD, PIPELINE_QUAD, QuadratureSpec,
                                  TRAPEZOID_ORACLE, gaussian_quad_nodes)
 from gsh_shrink.shrinkage import (_MAX_PANELS, _SUB_PANELS, _TABLE_NODES, _Z_DIRECT,
-                                  ShrinkageRule, _clenshaw, _kernel, shrink, shrink_array)
+                                  ShrinkageRule, _horner, _kernel, shrink, shrink_array)
 
 GH32 = QuadratureSpec(node_count=32)
 GH64 = QuadratureSpec(node_count=64)
@@ -213,6 +213,27 @@ class TestShapeProperties:
         minus = shrink(-d, rule)
         assert abs(plus) <= d
         assert minus == pytest.approx(-plus, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [-600, -530, 530, 600])
+    @pytest.mark.parametrize("alpha", [0.0, 0.9])
+    @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 3.0])
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, GH64], ids=["pipeline", "gh64"])
+    def test_power_of_two_scale_equivariance(self, quad, t, alpha, m):
+        # the rule is scale-equivariant, delta(2^m d; 2^m sigma, 2^m tau) =
+        # 2^m delta(d; sigma, tau), and a power of two scales every step of
+        # the kernel exactly, so the bits must agree.  Forming sigma^2, or
+        # any other product of two scales, breaks it at such m.  6000
+        # coefficients to 100 sigma fill tables (between 1740 and all 6000
+        # are looked up); 15 are evaluated directly
+        rng = np.random.default_rng(13)
+        dense = 1.5 * np.concatenate([rng.uniform(-8.0, 8.0, 3000),
+                                      rng.uniform(-100.0, 100.0, 3000)])
+        scale = np.ldexp(1.0, m)
+        rule = make_rule(alpha=alpha, tau=1.5, t=t, sigma=1.5, quad=quad)
+        scaled = make_rule(alpha=alpha, tau=1.5 * scale, t=t, sigma=1.5 * scale, quad=quad)
+        for d in (dense, dense[:15]):
+            assert np.array_equal(shrink_array(scale * d, scaled),
+                                  scale * shrink_array(d, rule)), d.size
 
     @pytest.mark.parametrize("t", [0.1, 3.0])
     def test_gauss_hermite_node_doubling(self, t):
@@ -448,6 +469,15 @@ def real_clenshaw(coefs, s):
     return coefs[0] + s * b1 - b2
 
 
+def real_horner(coefs, s):
+    """sum_k coefs[k] s^k for a real (terms, points) array, by the textbook
+    Horner rule."""
+    out = coefs[-1]
+    for c in coefs[-2::-1]:
+        out = out * s + c
+    return out
+
+
 def panel_series(kernel, panel):
     """The 20-term Chebyshev series of I0 and J on one panel, a (terms, 2)
     array in s = 2 (coordinate - panel) - 1, from the sums at the panel's
@@ -466,7 +496,7 @@ def panel_series(kernel, panel):
 
 class TestSubPanelSeries:
     """Each panel's 20-term series is re-expanded on 8 sub-panels as 9-term
-    series, evaluated for I0 and J at once by one complex recurrence."""
+    power series, evaluated for I0 and J at once by one complex Horner sum."""
 
     T_BOX = [-np.pi + 1e-3, -3.139, -3.0, 0.0, 3.0, 10.0, 50.0]
 
@@ -513,16 +543,16 @@ class TestSubPanelSeries:
         assert far_cases >= (4 if t < 2.0 - np.pi else 0)
 
     @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 3.0])
-    def test_complex_recurrence_is_two_real_ones(self, t):
+    def test_complex_horner_is_two_real_ones(self, t):
         rule = make_rule(t=t, sigma=1.5, quad=PIPELINE_QUAD)
         shrink_array(TestPanelTables().dense_input(rule, seed=6), rule)
         series = _kernel(rule.prior.gsh, rule.sigma, rule.quad).series
         rng = np.random.default_rng(7)
         rows = rng.integers(0, series.shape[1], 5000)
         s = np.concatenate([[-1.0, 1.0, 0.0], rng.uniform(-1.0, 1.0, 4997)])
-        sums = _clenshaw(series, rows, s)
-        assert np.array_equal(sums.real, real_clenshaw(series.real[:, rows], s))
-        assert np.array_equal(sums.imag, real_clenshaw(series.imag[:, rows], s))
+        sums = _horner(series, rows, s)
+        assert np.array_equal(sums.real, real_horner(series.real[:, rows], s))
+        assert np.array_equal(sums.imag, real_horner(series.imag[:, rows], s))
 
 
 class TestKernelCache:
