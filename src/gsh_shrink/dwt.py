@@ -11,17 +11,21 @@ with the quadrature-mirror highpass g[m] = (-1)^m h[L-1-m].  Under periodic
 boundary handling this realises an exactly orthogonal matrix, so energy is
 preserved and the inverse is the transpose.
 
-Both directions run as windowed polyphase products, one matrix product per
-step.  Forward, the input is read as pairs (x[2k], x[2k+1]) and extended
-by L/2 - 1 wrapped pairs; the n/2 windows of L consecutive samples, each
-two samples on from the last, are a strided view of that one copy, and
-their product with the (L x 2) taps [h, g] gives a_out and d_out together.
-Inverse, the (a, d) pairs are prefixed by L/2 - 1 wrapped pairs, and each
-window's product with the taps in reversed lag order gives the even and
-odd output samples.  Wrapping by index also covers filters longer than the
-level, at the coarsest levels of long filters.  No index matrix and no
-window matrix is materialised, so a step's work memory is one extended
-copy of its input.
+Both directions run as windowed polyphase products over block rows, two
+dense matrix products per step.  Forward, the input is read as pairs
+(x[2k], x[2k+1]), wrapped by index to whole rows of L consecutive samples
+(L/2 pairs) plus one more row, and laid out as one contiguous (rows x L)
+array.  The window of L samples starting at pair r of row q ends in row
+q + 1, so the products of all n/2 windows with the (L x 2) taps [h, g] are
+rows[:-1] @ T0 + rows[1:] @ T1, trimmed to n/2, where T0 and T1 are the two
+(L x L) halves of the block-Toeplitz form of the taps; they give a_out and
+d_out together.  Inverse, the (a, d) pairs from lag L/2 - 1 on are wrapped
+to whole rows the same way, and the same two products with the taps in
+reversed lag order give the even and odd output samples.  Wrapping by index
+also covers filters longer than the level, at the coarsest levels of long
+filters.  The second product is added in chunks of a fixed number of rows,
+so a step's work memory is one padded copy of its input, its output, and a
+temporary that does not grow with n.
 """
 from __future__ import annotations
 
@@ -149,45 +153,81 @@ def _dyadic_log(n: int) -> int:
     return j
 
 
-def _windows(ext: np.ndarray, half: int, length: int) -> np.ndarray:
-    """(half x length) view of ext's flat samples: row k holds
-    ext.flat[2k : 2k + length], so consecutive rows overlap and nothing is
-    copied.  The buffer constructor checks that the last row ends inside ext."""
-    step = ext.itemsize
-    return np.ndarray((half, length), buffer=ext, strides=(2 * step, step))
+#: Rows of the second product per chunk: its temporary stays at this many
+#: block rows (40 KB for Daub10) whatever the level length.
+_CHUNK_ROWS = 256
 
 
-def _analysis_step(x: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # as pairs (x[2k], x[2k+1]) wrapped by L/2 - 1 pairs, window k is
-    # x[(2k + m) mod n] for m = 0..L-1, so one product with the (L x 2) taps
-    # [h, g] gives a[k] and d[k]; take wraps more than once where the filter
-    # is longer than the level
-    half, length = x.size // 2, taps.shape[0]
-    ext = x.reshape(half, 2).take(np.arange(half + length // 2 - 1), axis=0, mode="wrap")
-    coarse = _windows(ext, half, length) @ taps
+def _block_taps(taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two (L x L) halves T0, T1 of the block-Toeplitz form of the
+    (L x 2) taps: columns 2r, 2r + 1 hold the taps shifted down by 2r
+    samples, so that the window starting at pair r of one row of L samples
+    is [row, next row] @ [T0; T1] in those columns."""
+    length = taps.shape[0]
+    full = np.zeros((2 * length, length))
+    # block r of this view is full[2r : 2r + L, 2r : 2r + 2]; blocks are disjoint
+    step = full.itemsize
+    np.ndarray((length // 2, length, 2), buffer=full,
+               strides=(2 * (length + 1) * step, length * step, step))[...] = taps
+    return full[:length], full[length:]
+
+
+def _block_product(pairs: np.ndarray, half: int,
+                   blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(half x 2) products of the windows of L consecutive samples starting
+    at pairs 0..half-1 of a contiguous (rows L/2 x 2) pairs array, with
+    rows - 1 >= half / (L/2).  Read as (rows x L) block rows, every window
+    starting in row q ends in row q + 1, so the products are
+    rows[:-1] @ T0 + rows[1:] @ T1; the second is added in row chunks."""
+    t0, t1 = blocks
+    rows = pairs.reshape(-1, t0.shape[0])
+    out = rows[:-1] @ t0
+    for start in range(0, out.shape[0], _CHUNK_ROWS):
+        stop = start + _CHUNK_ROWS
+        out[start:stop] += rows[start + 1:stop + 1] @ t1
+    return out.reshape(-1, 2)[:half]
+
+
+def _padded_pairs(half: int, length: int) -> int:
+    """Pairs of whole block rows that hold every window of a level of
+    ``half`` pairs: one block row more than the windows' starts fill."""
+    per_row = length // 2
+    return (-(-half // per_row) + 1) * per_row
+
+
+def _analysis_step(x: np.ndarray,
+                   blocks: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    # window k is x[(2k + m) mod n] for m = 0..L-1, so its product with the
+    # (L x 2) taps [h, g] gives a[k] and d[k]; the pairs (x[2k], x[2k+1])
+    # are wrapped to whole block rows, by take, which wraps more than once
+    # where the filter is longer than the level
+    half = x.size // 2
+    pairs = x.reshape(half, 2).take(np.arange(_padded_pairs(half, blocks[0].shape[0])),
+                                    axis=0, mode="wrap")
+    coarse = _block_product(pairs, half, blocks)
     return coarse[:, 0].copy(), coarse[:, 1].copy()
 
 
 def _synthesis_step(approx: np.ndarray, detail: np.ndarray,
-                    taps: np.ndarray) -> np.ndarray:
+                    blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     # transpose of the analysis step: with half = n/2,
     # x[2m + r] = sum_l a[(m - l) mod half] h[2l + r] + d[(m - l) mod half] g[2l + r],
-    # so over (a, d) pairs prefixed by L/2 - 1 wrapped pairs, window m holds
-    # lags L/2 - 1 .. 0, and one product with the (L x 2) synthesis taps
-    # gives x[2m] and x[2m + 1]
-    half, length = approx.size, taps.shape[0]
-    lag = np.arange(1 - length // 2, half)
-    ext = np.empty((lag.size, 2))
-    ext[:, 0] = approx.take(lag, mode="wrap")
-    ext[:, 1] = detail.take(lag, mode="wrap")
-    return (_windows(ext, half, length) @ taps).ravel()
+    # so over (a, d) pairs from lag L/2 - 1 on, wrapped to whole block rows,
+    # window m holds lags L/2 - 1 .. 0, and its product with the (L x 2)
+    # synthesis taps gives x[2m] and x[2m + 1]
+    half, length = approx.size, blocks[0].shape[0]
+    lag = np.arange(1 - length // 2, 1 - length // 2 + _padded_pairs(half, length))
+    pairs = np.empty((lag.size, 2))
+    pairs[:, 0] = approx.take(lag, mode="wrap")
+    pairs[:, 1] = detail.take(lag, mode="wrap")
+    return _block_product(pairs, half, blocks).ravel()
 
 
 def _synthesis_taps(filt: WaveletFilter) -> np.ndarray:
     """(L x 2) taps of _synthesis_step: row 2i + c, column r holds tap
     2l + r of h (c = 0) or g (c = 1) at lag l = L/2 - 1 - i."""
-    pairs = [np.asarray(f).reshape(-1, 2)[::-1] for f in (filt.lowpass, filt.highpass)]
-    return np.stack(pairs, axis=1).reshape(-1, 2)
+    lags = np.array((filt.lowpass, filt.highpass)).reshape(2, -1, 2)[:, ::-1]
+    return lags.transpose(1, 0, 2).reshape(-1, 2)
 
 
 def forward(signal, filt: WaveletFilter, primary_level: int) -> WaveletDecomposition:
@@ -201,10 +241,10 @@ def forward(signal, filt: WaveletFilter, primary_level: int) -> WaveletDecomposi
             f"primary level must satisfy 0 <= J0 < {depth}, got {primary_level}"
         )
     details: dict[int, np.ndarray] = {}
-    taps = np.stack([filt.lowpass, filt.highpass], axis=1)
+    blocks = _block_taps(np.array((filt.lowpass, filt.highpass)).T)
     approx = x
     for j in range(depth - 1, primary_level - 1, -1):
-        approx, detail = _analysis_step(approx, taps)
+        approx, detail = _analysis_step(approx, blocks)
         details[j] = detail
     return WaveletDecomposition(scaling=approx, details=details, n=x.size, filter=filt)
 
@@ -220,14 +260,19 @@ def inverse(decomp: WaveletDecomposition) -> np.ndarray:
             f"scaling block has length {decomp.scaling.size}, expected {expected}"
         )
     x = np.asarray(decomp.scaling, dtype=float)
-    taps = _synthesis_taps(decomp.filter)
+    blocks = _block_taps(_synthesis_taps(decomp.filter))
     for j in levels:
+        # the running approximation has 2^j samples unless a level is missing
+        if x.size != 2**j:
+            raise ValueError(
+                f"detail level {j} meets an approximation of length {x.size}: "
+                f"level {x.size.bit_length() - 1} is missing")
         detail = np.asarray(decomp.details[j], dtype=float)
         if detail.size != 2**j:
             raise ValueError(
                 f"detail level {j} has length {detail.size}, expected {2**j}"
             )
-        x = _synthesis_step(x, detail, taps)
+        x = _synthesis_step(x, detail, blocks)
     if x.size != decomp.n:
         raise ValueError(
             f"decomposition reconstructs length {x.size}, expected {decomp.n}"

@@ -173,10 +173,18 @@ def denoise_detailed(y, method: str, cfg: ExperimentConfig | None = None) -> Den
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     y = np.asarray(y, dtype=float)
     require_finite(y, "samples")
-    filt = daubechies_filter(cfg.vanishing_moments)
-    decomp = forward(y, filt, cfg.elicitation.primary_level)
-    levels = decomp.levels
+    return _estimate(_transform(y, cfg), method, cfg)
 
+
+def _transform(y: np.ndarray, cfg: ExperimentConfig) -> WaveletDecomposition:
+    return forward(y, daubechies_filter(cfg.vanishing_moments), cfg.elicitation.primary_level)
+
+
+def _estimate(decomp: WaveletDecomposition, method: str,
+              cfg: ExperimentConfig) -> DenoiseResult:
+    """One method's estimate and reconstruction from a forward transform,
+    which it leaves unchanged, so the methods of a replication can share it."""
+    levels = decomp.levels
     hyper = None
     if method == GSH:
         try:
@@ -199,7 +207,7 @@ def denoise_detailed(y, method: str, cfg: ExperimentConfig | None = None) -> Den
     elif method in (UNIVERSAL_HARD, UNIVERSAL_SOFT):
         mode = "hard" if method == UNIVERSAL_HARD else "soft"
         estimated = {
-            j: universal_threshold(decomp.details[j], sigma_hat, y.size, mode)
+            j: universal_threshold(decomp.details[j], sigma_hat, decomp.n, mode)
             for j in levels
         }
     else:  # SURE
@@ -230,8 +238,9 @@ def run_cell(cfg: ExperimentConfig, function: str, n: int,
     for r in range(cfg.replications):
         rng = SeededRng(cfg.base_seed, cell_stream_id(function, n, snr, r))
         sample = make_noisy_sample(function, n, snr, sigma, rng)
+        decomp = _transform(sample.y, cfg)
         for m in cfg.methods:
-            mses[m].append(mse(denoise(sample.y, m, cfg), sample.f))
+            mses[m].append(mse(_estimate(decomp, m, cfg).f_hat, sample.f))
     records = []
     for m in cfg.methods:
         vals = np.array(mses[m])

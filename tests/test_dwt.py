@@ -9,6 +9,44 @@ from gsh_shrink.dwt import (WaveletDecomposition, daubechies_filter, forward,
                             inverse)
 
 
+def _check_windowed_reference(n_moments: int, primary: int, size: int) -> None:
+    """The analysis step as full (n/2 x L) circular windows.  Errors are
+    relative to the signal: the coarsest coefficients can nearly cancel."""
+    filt = daubechies_filter(n_moments)
+    h, g = np.asarray(filt.lowpass), np.asarray(filt.highpass)
+    x = np.random.default_rng(n_moments).normal(size=size)
+    decomp = forward(x, filt, primary)
+    approx, scale = x, np.abs(x).max()
+    for j in range(size.bit_length() - 2, primary - 1, -1):
+        n = approx.size
+        idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
+        windows = approx[idx]
+        approx, detail = windows @ h, windows @ g
+        assert np.abs(decomp.details[j] - detail).max() <= 1e-13 * scale
+    assert np.abs(decomp.scaling - approx).max() <= 1e-13 * scale
+
+
+def _check_scatter_add_reference(n_moments: int, primary: int, size: int) -> None:
+    """The transpose of the analysis step written as a scatter-add, on
+    random details; where a filter is longer than its level, the same
+    output sample receives several taps of one coefficient."""
+    filt = daubechies_filter(n_moments)
+    h, g = np.asarray(filt.lowpass), np.asarray(filt.highpass)
+    rng = np.random.default_rng(n_moments)
+    decomp = forward(rng.normal(size=size), filt, primary)
+    decomp = decomp.with_details(
+        {j: rng.normal(size=d.size) for j, d in decomp.details.items()})
+    ref = decomp.scaling
+    for j in decomp.levels:
+        n, detail = 2 * ref.size, decomp.details[j]
+        idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
+        x = np.zeros(n)
+        np.add.at(x, idx, ref[:, None] * h[None, :] + detail[:, None] * g[None, :])
+        ref = x
+    got = inverse(decomp)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 class TestDaubechiesFilter:
     def test_haar(self):
         filt = daubechies_filter(1)
@@ -106,22 +144,14 @@ class TestForward:
     @pytest.mark.parametrize("n_moments", range(1, 11))
     @pytest.mark.parametrize("primary", [0, 2])
     def test_matches_windowed_reference(self, n_moments, primary):
-        # the analysis step as full (n/2 x L) circular windows; at J0 = 0
-        # every filter but Haar is longer than the coarsest levels, so one
-        # window wraps around its level several times.  Errors are relative
-        # to the signal: the coarsest coefficients can nearly cancel.
-        filt = daubechies_filter(n_moments)
-        h, g = np.asarray(filt.lowpass), np.asarray(filt.highpass)
-        x = np.random.default_rng(n_moments).normal(size=256)
-        decomp = forward(x, filt, primary)
-        approx, scale = x, np.abs(x).max()
-        for j in range(7, primary - 1, -1):
-            n = approx.size
-            idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-            windows = approx[idx]
-            approx, detail = windows @ h, windows @ g
-            assert np.abs(decomp.details[j] - detail).max() <= 1e-13 * scale
-        assert np.abs(decomp.scaling - approx).max() <= 1e-13 * scale
+        # at J0 = 0 every filter but Haar is longer than the coarsest
+        # levels, so one window wraps around its level several times
+        _check_windowed_reference(n_moments, primary, 256)
+
+    @pytest.mark.parametrize("n_moments", [1, 4, 10])
+    def test_matches_windowed_reference_at_16384(self, n_moments):
+        # the finest levels span many row chunks of the steps' products
+        _check_windowed_reference(n_moments, 0, 2**14)
 
 
 class TestAgainstReference:
@@ -143,8 +173,10 @@ class TestAgainstReference:
             assert np.abs(decomp.details[j] - details[j]).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("n_moments", range(1, 11))
-    @pytest.mark.parametrize("n, primary", [(8, 0), (64, 0), (1024, 3)])
+    @pytest.mark.parametrize("n, primary", [(8, 0), (64, 0), (1024, 3), (16384, 3)])
     def test_round_trip_is_exact(self, n_moments, n, primary):
+        # at n = 16384 the finest levels span many row chunks of the
+        # steps' products
         x = np.random.default_rng(n_moments).normal(size=n)
         back = inverse(forward(x, daubechies_filter(n_moments), primary))
         assert np.abs(back - x).max() <= 1e-13 * np.abs(x).max()
@@ -196,30 +228,32 @@ class TestInverse:
     @pytest.mark.parametrize("n_moments", range(1, 11))
     @pytest.mark.parametrize("primary", [0, 2])
     def test_matches_scatter_add_reference(self, n_moments, primary):
-        # the transpose of the analysis step written as a scatter-add; at
-        # J0 = 0 every filter but Haar is longer than the coarsest levels,
-        # so the same output sample receives several taps of one coefficient
-        filt = daubechies_filter(n_moments)
-        h, g = np.asarray(filt.lowpass), np.asarray(filt.highpass)
-        rng = np.random.default_rng(n_moments)
-        decomp = forward(rng.normal(size=256), filt, primary)
-        decomp = decomp.with_details(
-            {j: rng.normal(size=d.size) for j, d in decomp.details.items()})
-        ref = decomp.scaling
-        for j in decomp.levels:
-            n, detail = 2 * ref.size, decomp.details[j]
-            idx = (2 * np.arange(n // 2)[:, None] + np.arange(h.size)[None, :]) % n
-            x = np.zeros(n)
-            np.add.at(x, idx, ref[:, None] * h[None, :] + detail[:, None] * g[None, :])
-            ref = x
-        got = inverse(decomp)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        # at J0 = 0 every filter but Haar is longer than the coarsest levels
+        _check_scatter_add_reference(n_moments, primary, 256)
+
+    @pytest.mark.parametrize("n_moments", [1, 4, 10])
+    def test_matches_scatter_add_reference_at_16384(self, n_moments):
+        # the finest levels span many row chunks of the steps' products
+        _check_scatter_add_reference(n_moments, 0, 2**14)
 
     def test_inconsistent_sizes_rejected(self):
         decomp = forward(np.zeros(64), daubechies_filter(2), 2)
         bad = decomp.with_details({**decomp.details, 3: np.zeros(5)})
         with pytest.raises(ValueError, match="level 3"):
             inverse(bad)
+
+    def test_skipped_level_rejected(self):
+        # details at levels 3 and 5 of a 32-sample D2 decomposition: the
+        # level-5 detail would meet a 16-sample approximation, and the
+        # final length check alone would pass
+        filt = daubechies_filter(2)
+        decomp = forward(np.random.default_rng(11).normal(size=32), filt, 3)
+        gap = {3: decomp.details[3], 5: np.zeros(32)}
+        built = WaveletDecomposition(scaling=decomp.scaling, details=gap,
+                                     n=32, filter=filt)
+        for bad in (built, decomp.with_details(gap)):
+            with pytest.raises(ValueError, match="level 5"):
+                inverse(bad)
 
 
 class TestOperatorProperties:
@@ -236,6 +270,29 @@ class TestOperatorProperties:
             np.testing.assert_allclose(
                 d_combo.details[j],
                 2.0 * d_x.details[j] - 0.5 * d_y.details[j], atol=1e-10)
+
+    @pytest.mark.parametrize("n_moments", range(1, 11))
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_commutes_with_even_circular_shift(self, n_moments, n):
+        # rolling x by 2^(J - J0) rolls level j's details by 2^(j - J0) and
+        # the scaling block by 1, in both directions; the shift carries
+        # every sample across the block rows of the steps' products
+        primary = 3
+        filt = daubechies_filter(n_moments)
+        x = np.random.default_rng(n_moments).normal(size=n)
+        shift = n >> primary
+        decomp = forward(x, filt, primary)
+        rolled = forward(np.roll(x, shift), filt, primary)
+        tol = 1e-13 * np.abs(x).max()
+        assert np.abs(rolled.scaling - np.roll(decomp.scaling, 1)).max() <= tol
+        for j in decomp.levels:
+            moved = np.roll(decomp.details[j], 2 ** (j - primary))
+            assert np.abs(rolled.details[j] - moved).max() <= tol
+        rolled_back = inverse(WaveletDecomposition(
+            scaling=np.roll(decomp.scaling, 1),
+            details={j: np.roll(d, 2 ** (j - primary)) for j, d in decomp.details.items()},
+            n=n, filter=filt))
+        assert np.abs(rolled_back - np.roll(x, shift)).max() <= tol
 
     def test_inner_products_preserved(self):
         rng = np.random.default_rng(6)

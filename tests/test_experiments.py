@@ -179,6 +179,30 @@ class TestRunExperiment:
         assert record.amse == pytest.approx(expected, rel=1e-12)
         assert record.amse_std_error == 0.0
 
+    def test_one_transform_per_replication(self, monkeypatch):
+        # every method of a replication estimates from the same forward
+        # transform, and the records equal denoise's per-method AMSE bit
+        # for bit
+        cfg = dataclasses.replace(FAST_CFG, methods=exp.METHODS)
+        calls = []
+
+        def counting_forward(*args):
+            calls.append(args[0].size)
+            return real_forward(*args)
+
+        real_forward = exp.forward
+        monkeypatch.setattr(exp, "forward", counting_forward)
+        records = exp.run_cell(cfg, "heavisine", 512, 3.0)
+        assert calls == [512] * cfg.replications
+        monkeypatch.setattr(exp, "forward", real_forward)
+        samples = [make_noisy_sample("heavisine", 512, 3.0, cfg.noise_sigma(3.0),
+                                     SeededRng(cfg.base_seed,
+                                               cell_stream_id("heavisine", 512, 3.0, r)))
+                   for r in range(cfg.replications)]
+        for record in records:
+            mses = [mse(denoise(s.y, record.method, cfg), s.f) for s in samples]
+            assert record.amse == float(np.mean(mses))
+
     def test_reruns_are_identical(self):
         a = run_experiment(FAST_CFG)
         b = run_experiment(FAST_CFG)
