@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -71,8 +72,8 @@ class ExperimentConfig:
         for snr in self.snrs:
             if not (math.isfinite(snr) and snr > 0):
                 raise ValueError(f"snrs must be finite and > 0, got {snr}")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+        if not isinstance(self.replications, numbers.Integral) or self.replications < 1:
+            raise ValueError(f"replications must be an integer >= 1, got {self.replications!r}")
         daubechies_filter(self.vanishing_moments)  # raises for an unknown filter
         if not (math.isfinite(self.signal_sd) and self.signal_sd > 0):
             raise ValueError(f"signal_sd must be finite and > 0, got {self.signal_sd}")
@@ -102,8 +103,15 @@ def mse(f_hat, f) -> float:
     return float(np.mean((f_hat - f) ** 2))
 
 
+def _require_noise_level(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+
+
 def universal_threshold(coeffs, sigma: float, n: int, mode: str = "hard") -> np.ndarray:
-    """Threshold at lambda = sigma * sqrt(2 log n)."""
+    """Threshold at lambda = sigma * sqrt(2 log n); sigma = 0 keeps every
+    coefficient."""
+    _require_noise_level(sigma)
     if n < 2:
         raise ValueError("n must be >= 2")
     if mode not in ("hard", "soft"):
@@ -121,11 +129,13 @@ def sure_threshold(level_coeffs, sigma: float) -> np.ndarray:
     Candidates are the sigma-standardised magnitudes (plus zero), capped at
     sqrt(2 log n) for the level length n; for standardised data y the
     criterion is SURE(lam) = n - 2 #{|y| <= lam} + sum min(y^2, lam^2).
+    sigma = 0 keeps every coefficient.
     """
+    _require_noise_level(sigma)
     d = np.asarray(level_coeffs, dtype=float)
     if d.size == 0:
         raise ValueError("level must be nonempty")
-    if sigma <= 0:
+    if sigma == 0:
         return d.copy()
     x = np.abs(d) / sigma
     n = x.size

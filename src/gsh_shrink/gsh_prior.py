@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng
+from .numerics import SeededRng, require_probabilities
 
 #: |t| below this is routed to the logistic-limit constants; the raw
 #: formulas hit 0/0 in sin(t)/t there.
@@ -161,8 +161,10 @@ def gsh_cdf(theta, p: GshParams):
 
 
 def gsh_quantile(q, p: GshParams):
-    """Inverse of gsh_cdf on [0, 1]; Q(1/2) = 0 exactly, Q(0) and Q(1) finite."""
+    """Inverse of gsh_cdf on [0, 1]; Q(1/2) = 0 exactly, Q(0) and Q(1) finite.
+    Raises ValueError, naming the first one, on q outside [0, 1]."""
     q = np.asarray(q, dtype=float)
+    require_probabilities(q, "q")
     s = np.maximum(np.minimum(q, 1.0 - q), _SMALLEST_NORMAL)
     out = np.sign(q - 0.5) * (p.tau / p.c2) * np.abs(_lower_log_w(s, p.t))
     return out if out.ndim else float(out)

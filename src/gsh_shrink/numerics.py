@@ -19,13 +19,26 @@ class DegenerateInputError(ValueError):
     """Input data carries no usable variation (e.g. a constant vector)."""
 
 
+def _reject_first(x: np.ndarray, bad: np.ndarray, message: str) -> None:
+    """Raise ValueError with message, naming the first entry of x where bad."""
+    first = int(np.flatnonzero(bad)[0])
+    index = first if x.ndim == 1 else tuple(int(i) for i in np.unravel_index(first, x.shape))
+    raise ValueError(f"{message}: index {index} is {float(x.flat[first])}")
+
+
 def require_finite(x: np.ndarray, what: str) -> None:
     """Raise ValueError naming the first non-finite entry of x, if any."""
     if x.size == 0 or (np.isfinite(x.max()) and np.isfinite(x.min())):
         return
-    first = int(np.flatnonzero(~np.isfinite(x))[0])
-    index = first if x.ndim == 1 else tuple(int(i) for i in np.unravel_index(first, x.shape))
-    raise ValueError(f"{what} must be finite: index {index} is {float(x.flat[first])}")
+    _reject_first(x, ~np.isfinite(x), f"{what} must be finite")
+
+
+def require_probabilities(x: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first entry of x outside [0, 1] (NaN
+    included), if any."""
+    if x.size == 0 or (x.min() >= 0.0 and x.max() <= 1.0):
+        return
+    _reject_first(x, ~((x >= 0.0) & (x <= 1.0)), f"{what} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

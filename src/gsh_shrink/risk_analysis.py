@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gsh_prior import gsh_density, gsh_sample
-from .numerics import QuadratureSpec, SeededRng, gaussian_quad_nodes
+from .numerics import QuadratureSpec, SeededRng, gaussian_quad_nodes, require_finite
 from .shrinkage import ShrinkageRule, shrink_array
 
 QUADRATURE = "quadrature"
@@ -56,9 +56,12 @@ def rule_moments(theta, rule: ShrinkageRule):
     Computes m1 = E[delta(d)] and m2 = E[delta(d)^2] over d ~ N(theta,
     sigma^2) with the outer quadrature DEFAULT_MOMENT_QUAD; theta may be a
     scalar or an array of any shape, and the three outputs take its shape.
+    Raises ValueError, naming the first one, on theta that is not finite.
     """
-    shape = np.shape(theta)
-    th = np.asarray(theta, dtype=float).ravel()
+    th = np.asarray(theta, dtype=float)
+    require_finite(th, "theta")
+    shape = th.shape
+    th = th.ravel()
     u, v = gaussian_quad_nodes(DEFAULT_MOMENT_QUAD)
     d = th[:, None] + rule.sigma * u[None, :]
     delta = shrink_array(d, rule)

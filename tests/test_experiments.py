@@ -57,6 +57,17 @@ class TestUniversalThreshold:
             universal_threshold([1.0], 1.0, 1, "hard")
         with pytest.raises(ValueError):
             universal_threshold([1.0], 1.0, 512, "medium")
+        # a negative sigma made the soft threshold expand every coefficient:
+        # [0.5, -2, 3, 0.1] came back as [2.17, -3.67, 4.67, 1.77]
+        for sigma in (-1.0, np.nan, np.inf):
+            for mode in ("hard", "soft"):
+                with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+                    universal_threshold([0.5, -2.0, 3.0, 0.1], sigma, 4, mode)
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_zero_sigma_is_identity(self, mode):
+        d = np.array([0.5, -2.0, 0.0])
+        np.testing.assert_array_equal(universal_threshold(d, 0.0, 4, mode), d)
 
 
 class TestSureThreshold:
@@ -87,6 +98,12 @@ class TestSureThreshold:
     def test_zero_sigma_is_identity(self):
         d = np.array([0.5, -2.0])
         np.testing.assert_array_equal(sure_threshold(d, 0.0), d)
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+    def test_invalid_sigma_rejected(self, sigma):
+        # NaN gave an all-NaN level, and a negative sigma the identity
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            sure_threshold([0.5, -2.0, 3.0], sigma)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_threshold_from_unique_candidates(self, seed):
@@ -289,8 +306,10 @@ class TestConfigValidation:
             ExperimentConfig(methods=("cv",))
 
     def test_bad_replications(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(replications=0)
+        # 1.5 was accepted and failed later, inside a cell, as a RuntimeError
+        for replications in (0, -2, 1.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="replications must be an integer >= 1"):
+                ExperimentConfig(replications=replications)
 
     def test_size_too_short_for_primary_level(self):
         with pytest.raises(ValueError, match="primary level"):

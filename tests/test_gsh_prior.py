@@ -231,6 +231,14 @@ class TestClosedForm:
         q = np.linspace(0.0, 1.0, 4001)
         assert np.all(np.diff(gsh_quantile(q, p)) >= 0)
 
+    @pytest.mark.parametrize("q, index", [([0.2, -0.5, 1.0], "1"), ([0.0, 0.5, 1.5], "2"),
+                                          (2.0, r"\(\)"), ([[0.5, 0.1], [np.nan, -1.0]], r"\(1, 0\)")],
+                             ids=["below", "above", "scalar", "nan-in-matrix"])
+    def test_quantile_outside_the_unit_interval_rejected(self, q, index):
+        # q = -0.5, 1.5 and 2 gave -1310.08 and +1310.08 at t = -3
+        with pytest.raises(ValueError, match=rf"q must lie in \[0, 1\]: index {index} is"):
+            gsh_quantile(q, GshParams.make(1.0, -3.0))
+
     @pytest.mark.parametrize("t", (-math.pi + 1e-3, -1.0, 0.0, 3.0, 50.0))
     def test_sample_is_quantile_of_the_uniforms(self, t):
         p = GshParams.make(1.5, t)

@@ -57,6 +57,15 @@ class TestRuleMoments:
             assert np.array_equal(got.ravel(), want)
         assert [x.shape for x in rule_moments(np.zeros((2, 0)), rule)] == [(2, 0)] * 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_theta_named(self, bad):
+        # the error named index (1, 0) of the internal (theta x node) matrix
+        rule = make_rule(t=-3.0)
+        with pytest.raises(ValueError, match=r"theta must be finite: index 1 is"):
+            risk_curve([0.0, bad, 2.0], rule)
+        with pytest.raises(ValueError, match=r"theta must be finite: index \(0, 1\) is"):
+            rule_moments(np.array([[0.0, bad]]), rule)
+
 
 class TestRiskCurve:
     def test_even_functions_on_symmetric_grid(self):
