@@ -526,11 +526,7 @@ class TestKernelInternals:
     @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.0, 3.0])
     def test_tables_only_dense_panels(self, t, quad):
         # a fresh kernel's one call fills a table for every panel that holds
-        # more coefficients than a table has nodes, and for no other.  At
-        # the clamp with sigma/tau = 10, rho-wide panels out to 100 sigma
-        # would number 45 760, past _MAX_PANELS; the far panels past x1 keep
-        # every coefficient within the counted panels, and the dense far
-        # panels get tables too
+        # more coefficients than a table has nodes, and for no other
         for ratio in (1.0, 10.0):
             rule = make_rule(alpha=0.9, tau=self.SIGMA / ratio, t=t, sigma=self.SIGMA,
                              quad=quad)
@@ -543,9 +539,28 @@ class TestKernelInternals:
             dense = held > shrinkage._TABLE_NODES
             np.testing.assert_array_equal(kernel.first > 0, dense)
             assert kernel.series.shape[1] == shrinkage._SUB_PANELS * (1 + np.count_nonzero(dense))
-            if np.abs(d).max() / kernel.rho > shrinkage._MAX_PANELS:
-                assert c.max() < kernel.max_panels
-                assert dense[int(kernel.n1):].any()
+
+    @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
+    def test_every_dense_panel_has_a_table(self, quad):
+        # at the clamp with sigma/tau = 10, rho-wide panels out to 100 sigma
+        # would number 45 760, past _MAX_PANELS; the far panels past x1 keep
+        # every coefficient within the counted panels, and the dense far
+        # panels get tables too
+        rule = make_rule(alpha=0.9, tau=self.SIGMA / 10.0, t=-np.pi + 1e-3,
+                         sigma=self.SIGMA, quad=quad)
+        kernel = shrinkage._Kernel(rule.prior.gsh, rule.sigma, rule.quad)
+        d = dense_input(rule, seed=8)
+        top = np.abs(d).max()
+        assert top == pytest.approx(100.0 * self.SIGMA)
+        assert top / kernel.rho > shrinkage._MAX_PANELS
+        count, column_of = kernel.tables(d)
+        c = kernel.coordinate(np.abs(d))
+        assert c.max() < count <= kernel.max_panels
+        held = np.bincount(c.astype(np.intp), minlength=count)
+        dense = np.flatnonzero(held > shrinkage._TABLE_NODES)
+        assert dense.max() >= kernel.n1
+        assert np.all(column_of[shrinkage._SUB_PANELS * dense] >= shrinkage._SUB_PANELS)
+        np.testing.assert_array_equal(np.flatnonzero(kernel.first > 0), dense)
 
     @staticmethod
     def panel_series(kernel, panel):
@@ -574,7 +589,7 @@ class TestKernelInternals:
 
     @pytest.mark.parametrize("quad", [PIPELINE_QUAD, DENSE_QUAD], ids=["pipeline", "dense"])
     @pytest.mark.parametrize("t", [-np.pi + 1e-3, -3.139, -3.0, 0.0, 3.0, 10.0, 50.0])
-    def test_sub_panel_series_match_the_wide_series(self, t, quad):
+    def test_sub_panels_match_wide(self, t, quad):
         # Each panel's 20-term series is re-expanded on 8 sub-panels as
         # 9-term power series.  delta from those against delta from the
         # panel's 20-term series, summed here, at every tabled coefficient.
@@ -747,9 +762,9 @@ def kernel_internals_read(source: str) -> list[str]:
 def test_only_kernel_internals_reads_kernel_internals():
     # the tests outside TestKernelInternals go through the public API, so a
     # change to how the kernel computes its sums rewrites that class alone,
-    # which stays at 5 test functions and 29 cases at most
+    # which stays at 6 test functions and 30 cases at most
     assert kernel_internals_read(Path(__file__).read_text()) == []
     tests = [f for name, f in vars(TestKernelInternals).items() if name.startswith("test")]
     cases = sum(math.prod(len(mark.args[1]) for mark in getattr(f, "pytestmark", [])
                           if mark.name == "parametrize") for f in tests)
-    assert len(tests) <= 5 and cases <= 29, (len(tests), cases)
+    assert len(tests) <= 6 and cases <= 30, (len(tests), cases)
